@@ -202,7 +202,7 @@ fn on_inner_result(
         for (op, row) in outputs {
             coord.exec.set_output(op, row);
         }
-        for id in coord.split.inner_ops.clone() {
+        for id in &coord.split.inner_ops {
             coord.ops[id.idx()].responded = true;
             coord.ops[id.idx()].computed = true;
         }

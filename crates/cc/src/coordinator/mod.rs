@@ -289,13 +289,15 @@ pub(crate) fn drive(eng: &mut EngineActor, ctx: &mut Ctx<'_, Msg>, txn: TxnId, c
 /// Finalize every op whose inputs are available: compute update rows,
 /// build insert rows, buffer writes.
 pub(crate) fn compute_pass(eng: &mut EngineActor, ctx: &mut Ctx<'_, Msg>, coord: &mut Coord) {
+    // One handle to the procedure, so ops are borrowed while `coord` is
+    // mutated.
+    let proc = Arc::clone(&coord.proc);
     loop {
         let mut progressed = false;
-        for i in 0..coord.proc.num_ops() {
+        for (i, op) in proc.ops.iter().enumerate() {
             if coord.ops[i].computed || !coord.ops[i].responded {
                 continue;
             }
-            let op = coord.proc.op(OpId(i as u16)).clone();
             if !op
                 .value_deps
                 .iter()
@@ -309,8 +311,8 @@ pub(crate) fn compute_pass(eng: &mut EngineActor, ctx: &mut Ctx<'_, Msg>, coord:
                 OpKind::Read { .. } => {} // output set at response time
                 OpKind::Update(apply) => {
                     ctx.use_cpu(eng.op_cpu());
-                    let raw = coord.ops[i].raw_row.clone().expect("update read a row");
-                    let new = apply(&raw, &coord.exec);
+                    let raw = coord.ops[i].raw_row.as_ref().expect("update read a row");
+                    let new = apply(raw, &coord.exec);
                     coord.exec.set_output(op.id, new.clone());
                     coord.writes.push((
                         part,
@@ -468,9 +470,9 @@ pub(crate) fn finish_commit(
     txn: TxnId,
     coord: &mut Coord,
 ) {
-    let name = eng.proc_name(&coord.input).to_owned();
+    let name = eng.proc_name(&coord.input);
     let distributed = coord.participants.len() > 1;
-    let stats = eng.metrics.type_stats(&name);
+    let stats = eng.metrics.type_stats(name);
     stats.commits += 1;
     if distributed {
         stats.distributed_commits += 1;
@@ -555,7 +557,7 @@ pub(crate) fn abort_attempt(
         );
     }
     let kind = coord.failed.expect("abort without failure");
-    let name = eng.proc_name(&coord.input).to_owned();
+    let name = eng.proc_name(&coord.input);
     let slot = coord.slot;
     coord.phase = Phase::Done;
     if coord.traced {
@@ -575,7 +577,7 @@ pub(crate) fn abort_attempt(
     }
     match kind {
         FailKind::Transient(reason) => {
-            eng.metrics.type_stats(&name).aborts += 1;
+            eng.metrics.type_stats(name).aborts += 1;
             eng.metrics.abort_reasons.record(reason);
             if let Some(mon) = eng.monitor.as_mut() {
                 mon.on_abort();
@@ -606,7 +608,7 @@ pub(crate) fn abort_attempt(
             }
         }
         FailKind::Logic => {
-            eng.metrics.type_stats(&name).logic_aborts += 1;
+            eng.metrics.type_stats(name).logic_aborts += 1;
             eng.schedule_fresh_start(ctx, slot);
         }
     }

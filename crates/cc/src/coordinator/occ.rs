@@ -17,6 +17,7 @@ use chiller_common::value::Row;
 use chiller_simnet::{Ctx, Verb};
 use chiller_sproc::op::OpKind;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::sync::Arc;
 
 /// Strategy singleton for [`Protocol::Occ`].
 pub struct OccCoordinator;
@@ -107,12 +108,12 @@ fn absorb_occ_read_resp(
     coord.pending -= 1;
     ctx.use_cpu(eng.op_cpu());
     coord.inflight.remove(&req);
+    let proc = Arc::clone(&coord.proc);
     for (op_id, row, version) in rows {
         let st = &mut coord.ops[op_id.idx()];
         st.responded = true;
         st.version = version;
-        let kind = coord.proc.op(op_id).kind.clone();
-        match (row, kind) {
+        match (row, &proc.op(op_id).kind) {
             (Some(r), OpKind::Read { .. }) => {
                 coord.ops[op_id.idx()].raw_row = Some(r.clone());
                 coord.exec.set_output(op_id, r);

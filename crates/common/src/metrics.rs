@@ -325,8 +325,14 @@ impl MetricSet {
         }
     }
 
+    /// The stats entry for `name`, created on first use. Only a miss
+    /// allocates the owned key; the per-commit hit path is a lookup.
     pub fn type_stats(&mut self, name: &str) -> &mut TxnTypeStats {
-        self.per_type.entry(name.to_owned()).or_default()
+        if !self.per_type.contains_key(name) {
+            self.per_type
+                .insert(name.to_owned(), TxnTypeStats::default());
+        }
+        self.per_type.get_mut(name).expect("entry just ensured")
     }
 
     pub fn total_commits(&self) -> u64 {

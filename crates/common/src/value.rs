@@ -1,12 +1,20 @@
 //! Cell values and rows for the in-memory storage layer.
 //!
-//! Records are stored as typed rows (`Vec<Value>`). The simulation does not
-//! need a packed byte layout for correctness; the storage layer charges the
-//! CPU-cost model per operation instead of per byte, matching the paper's
-//! observation that with RDMA the network is no longer bandwidth-bound.
+//! Records are stored as typed rows (`Arc<[Value]>`). The simulation does
+//! not need a packed byte layout for correctness; the storage layer charges
+//! the CPU-cost model per operation instead of per byte, matching the
+//! paper's observation that with RDMA the network is no longer
+//! bandwidth-bound.
+//!
+//! A [`Row`] is **immutable once built** and shared by reference count: the
+//! lock-read reply, the coordinator's execution state, the buffered write,
+//! every replica's `Replicate` message and store, the primary store and the
+//! redo record all hold the same allocation. An update never mutates a row
+//! in place; it builds a new one ([`update_row`]).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A single column value.
 #[derive(Clone, PartialEq, Serialize, Deserialize)]
@@ -114,8 +122,9 @@ impl fmt::Debug for Value {
     }
 }
 
-/// A materialized record: an ordered list of column values.
-pub type Row = Vec<Value>;
+/// A materialized record: an ordered list of column values, shared
+/// immutably (cloning a `Row` bumps a reference count, never copies).
+pub type Row = Arc<[Value]>;
 
 /// Helper to build rows tersely in data generators and tests.
 ///
@@ -125,7 +134,24 @@ pub type Row = Vec<Value>;
 /// assert_eq!(r.len(), 2);
 /// ```
 pub fn row(vals: &[Value]) -> Row {
-    vals.to_vec()
+    Row::from(vals)
+}
+
+/// Build the successor of `old`: a new row equal to `old` with `f` applied
+/// to its columns, in one allocation. `old` itself is left untouched —
+/// other holders (the store, in-flight messages) keep seeing it.
+///
+/// ```
+/// use chiller_common::value::{row, update_row, Value};
+/// let old = row(&[Value::I64(1), Value::I64(10)]);
+/// let new = update_row(&old, |r| r[1] = Value::I64(r[1].as_i64() + 1));
+/// assert_eq!(new[1].as_i64(), 11);
+/// assert_eq!(old[1].as_i64(), 10);
+/// ```
+pub fn update_row(old: &Row, f: impl FnOnce(&mut [Value])) -> Row {
+    let mut new = Row::clone(old);
+    f(Arc::make_mut(&mut new));
+    new
 }
 
 #[cfg(test)]
@@ -159,6 +185,18 @@ mod tests {
         assert_eq!(Value::from(7u64).as_i64(), 7);
         assert_eq!(Value::from(7i32).as_i64(), 7);
         assert_eq!(Value::from(String::from("x")).as_str(), "x");
+    }
+
+    #[test]
+    fn update_row_leaves_the_original_untouched() {
+        let old = row(&[Value::I64(1), Value::F64(2.0)]);
+        let shared = old.clone();
+        let new = update_row(&old, |r| r[1] = Value::F64(3.0));
+        assert_eq!(old[1].as_f64(), 2.0);
+        assert_eq!(shared[1].as_f64(), 2.0);
+        assert_eq!(new[1].as_f64(), 3.0);
+        assert!(!Arc::ptr_eq(&old, &new));
+        assert!(Arc::ptr_eq(&old, &shared));
     }
 
     #[test]

@@ -18,14 +18,10 @@
 //! // 2. A transfer procedure: read + update two accounts.
 //! let transfer = ProcedureBuilder::new("transfer")
 //!     .update(accounts, 0, "debit", |row, _| {
-//!         let mut r = row.clone();
-//!         r[1] = Value::F64(r[1].as_f64() - 1.0);
-//!         r
+//!         update_row(row, |r| r[1] = Value::F64(r[1].as_f64() - 1.0))
 //!     })
 //!     .update(accounts, 1, "credit", |row, _| {
-//!         let mut r = row.clone();
-//!         r[1] = Value::F64(r[1].as_f64() + 1.0);
-//!         r
+//!         update_row(row, |r| r[1] = Value::F64(r[1].as_f64() + 1.0))
 //!     })
 //!     .build()
 //!     .unwrap();
@@ -36,7 +32,7 @@
 //! builder
 //!     .protocol(Protocol::Chiller)
 //!     .load((0..1000u64).map(|k| {
-//!         (RecordId::new(accounts, k), vec![Value::I64(k as i64), Value::F64(100.0)])
+//!         (RecordId::new(accounts, k), Row::from([Value::I64(k as i64), Value::F64(100.0)]))
 //!     }))
 //!     .source_per_node(move |node| {
 //!         Box::new(chiller_cc::input::ScriptedSource::new(vec![TxnInput {
@@ -70,7 +66,7 @@ pub mod prelude {
     pub use chiller_common::config::{EngineConfig, NetworkConfig, ReplicationConfig, SimConfig};
     pub use chiller_common::ids::{NodeId, PartitionId, RecordId, TableId, TxnId};
     pub use chiller_common::time::{Duration, SimTime};
-    pub use chiller_common::value::{Row, Value};
+    pub use chiller_common::value::{update_row, Row, Value};
     pub use chiller_obs::{History, RuntimeTelemetry, TraceLog, TraceMode};
     pub use chiller_simnet::{Backend, MailboxKind, PinPolicy};
     pub use chiller_sproc::{ProcedureBuilder, RegionSplit};

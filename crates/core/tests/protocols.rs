@@ -28,14 +28,10 @@ fn schema() -> Schema {
 fn transfer_proc() -> chiller_sproc::Procedure {
     ProcedureBuilder::new("transfer")
         .update(ACCOUNTS, 0, "debit", |row, st| {
-            let mut r = row.clone();
-            r[1] = Value::F64(r[1].as_f64() - st.param_f64(2));
-            r
+            update_row(row, |r| r[1] = Value::F64(r[1].as_f64() - st.param_f64(2)))
         })
         .update(ACCOUNTS, 1, "credit", |row, st| {
-            let mut r = row.clone();
-            r[1] = Value::F64(r[1].as_f64() + st.param_f64(2));
-            r
+            update_row(row, |r| r[1] = Value::F64(r[1].as_f64() + st.param_f64(2)))
         })
         .build()
         .unwrap()
@@ -80,7 +76,7 @@ fn build_cluster(protocol: Protocol, concurrency: usize, seed: u64) -> Cluster {
         .load((0..NUM_ACCOUNTS).map(|k| {
             (
                 RecordId::new(ACCOUNTS, k),
-                vec![Value::I64(k as i64), Value::F64(INITIAL)],
+                Row::from([Value::I64(k as i64), Value::F64(INITIAL)]),
             )
         }))
         .source_per_node(move |_| {
@@ -235,7 +231,7 @@ fn chiller_two_region_reduces_abort_rate_vs_2pl() {
             .load((0..NUM_ACCOUNTS).map(|k| {
                 (
                     RecordId::new(ACCOUNTS, k),
-                    vec![Value::I64(k as i64), Value::F64(INITIAL)],
+                    Row::from([Value::I64(k as i64), Value::F64(INITIAL)]),
                 )
             }))
             .source_per_node(move |_| {
@@ -276,7 +272,7 @@ fn logic_abort_is_final_not_retried() {
         .load((0..10).map(|k| {
             (
                 RecordId::new(ACCOUNTS, k),
-                vec![Value::I64(k as i64), Value::F64(0.0)],
+                Row::from([Value::I64(k as i64), Value::F64(0.0)]),
             )
         }))
         .source_per_node(move |_| {
@@ -318,7 +314,7 @@ fn read_only_transactions_commit_without_aborting_anyone() {
             .load((0..NUM_ACCOUNTS).map(|k| {
                 (
                     RecordId::new(ACCOUNTS, k),
-                    vec![Value::I64(k as i64), Value::F64(INITIAL)],
+                    Row::from([Value::I64(k as i64), Value::F64(INITIAL)]),
                 )
             }))
             .source_per_node(move |node| {

@@ -19,14 +19,10 @@ fn schema() -> Schema {
 fn transfer_proc() -> chiller_sproc::Procedure {
     ProcedureBuilder::new("transfer")
         .update(ACCOUNTS, 0, "debit", |row, st| {
-            let mut r = row.clone();
-            r[1] = Value::F64(r[1].as_f64() - st.param_f64(2));
-            r
+            update_row(row, |r| r[1] = Value::F64(r[1].as_f64() - st.param_f64(2)))
         })
         .update(ACCOUNTS, 1, "credit", |row, st| {
-            let mut r = row.clone();
-            r[1] = Value::F64(r[1].as_f64() + st.param_f64(2));
-            r
+            update_row(row, |r| r[1] = Value::F64(r[1].as_f64() + st.param_f64(2)))
         })
         .build()
         .unwrap()
@@ -71,7 +67,7 @@ fn build_cluster(protocol: Protocol, seed: u64, trace: Option<TraceMode>) -> Clu
         .load((0..NUM_ACCOUNTS).map(|k| {
             (
                 RecordId::new(ACCOUNTS, k),
-                vec![Value::I64(k as i64), Value::F64(INITIAL)],
+                Row::from([Value::I64(k as i64), Value::F64(INITIAL)]),
             )
         }))
         .source_per_node(move |_| Box::new(TransferSource { proc: proc_id }));

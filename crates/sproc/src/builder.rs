@@ -264,7 +264,7 @@ impl ProcedureBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chiller_common::value::Value;
+    use chiller_common::value::{update_row, Value};
 
     /// The paper's Figure 4 flight-booking procedure, faithfully encoded.
     ///
@@ -285,9 +285,9 @@ mod tests {
                 st.output_req(OpId(1))[2].as_i64() as u64 // c.state
             })
             .update_deps(FLIGHT, 0, &[OpId(0)], "decrement seats", |row, _| {
-                let mut r = row.clone();
-                r[1] = Value::I64(r[1].as_i64() - 1); // f.seats -= 1
-                r
+                update_row(row, |r| {
+                    r[1] = Value::I64(r[1].as_i64() - 1); // f.seats -= 1
+                })
             })
             .update_deps(
                 CUSTOMER,
@@ -297,9 +297,9 @@ mod tests {
                 |row, st| {
                     let price = st.output_req(OpId(0))[2].as_f64();
                     let tax = st.output_req(OpId(2))[1].as_f64();
-                    let mut r = row.clone();
-                    r[1] = Value::F64(r[1].as_f64() - price * (1.0 + tax));
-                    r
+                    update_row(row, |r| {
+                        r[1] = Value::F64(r[1].as_f64() - price * (1.0 + tax));
+                    })
                 },
             )
             .insert_with_key_from(
@@ -311,10 +311,10 @@ mod tests {
                     (flight[0].as_i64() as u64) << 32 | flight[1].as_i64() as u64
                 },
                 |st| {
-                    vec![
+                    Row::from([
                         st.params()[1].clone(),            // cust_id
                         st.output_req(OpId(1))[1].clone(), // c.name
-                    ]
+                    ])
                 },
             )
             .value_deps(&[OpId(1)])
@@ -381,7 +381,7 @@ mod tests {
         // After the flight read the real key resolves.
         st.set_output(
             OpId(0),
-            vec![Value::I64(9), Value::I64(3), Value::F64(100.0)],
+            Row::from([Value::I64(9), Value::I64(3), Value::F64(100.0)]),
         );
         assert_eq!(p.op(OpId(5)).key.resolve(&st), Some((9u64 << 32) | 3));
     }
@@ -392,18 +392,18 @@ mod tests {
         let mut st = ExecState::new(vec![Value::I64(9), Value::I64(1)], p.num_ops());
         st.set_output(
             OpId(0),
-            vec![Value::I64(9), Value::I64(0), Value::F64(100.0)],
+            Row::from([Value::I64(9), Value::I64(0), Value::F64(100.0)]),
         );
         st.set_output(
             OpId(1),
-            vec![
+            Row::from([
                 Value::I64(1),
                 Value::from("bob"),
                 Value::I64(2),
                 Value::F64(1e6),
-            ],
+            ]),
         );
-        st.set_output(OpId(2), vec![Value::I64(2), Value::F64(0.1)]);
+        st.set_output(OpId(2), Row::from([Value::I64(2), Value::F64(0.1)]));
         let err = (p.guards[0].check)(&st).unwrap_err();
         assert_eq!(err, "no seats left");
     }

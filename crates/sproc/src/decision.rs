@@ -152,6 +152,7 @@ mod tests {
     use super::*;
     use crate::builder::ProcedureBuilder;
     use chiller_common::ids::TableId;
+    use chiller_common::value::Row;
 
     /// Paper t3 (Figure 2a): read/write r5, r4, r1 — r4 and r1 hot,
     /// co-located on one partition.
@@ -225,7 +226,7 @@ mod tests {
                 &[OpId(0)],
                 "seat",
                 |st| st.output_req(OpId(0))[0].as_i64() as u64,
-                |_| vec![],
+                |_| Row::from([]),
             )
             .build()
             .unwrap();
@@ -249,7 +250,7 @@ mod tests {
                 &[OpId(0)],
                 "child",
                 |st| st.output_req(OpId(0))[0].as_i64() as u64,
-                |_| vec![],
+                |_| Row::from([]),
             )
             .build()
             .unwrap();

@@ -96,7 +96,7 @@ mod tests {
     fn outputs_roundtrip() {
         let mut st = ExecState::new(vec![], 3);
         assert!(st.output(OpId(1)).is_none());
-        st.set_output(OpId(1), vec![Value::I64(9)]);
+        st.set_output(OpId(1), Row::from([Value::I64(9)]));
         assert_eq!(st.output_req(OpId(1))[0].as_i64(), 9);
     }
 
@@ -110,10 +110,10 @@ mod tests {
     #[test]
     fn absorb_fills_gaps_without_overwriting() {
         let mut a = ExecState::new(vec![], 2);
-        a.set_output(OpId(0), vec![Value::I64(1)]);
+        a.set_output(OpId(0), Row::from([Value::I64(1)]));
         let mut b = ExecState::new(vec![], 2);
-        b.set_output(OpId(0), vec![Value::I64(99)]);
-        b.set_output(OpId(1), vec![Value::I64(2)]);
+        b.set_output(OpId(0), Row::from([Value::I64(99)]));
+        b.set_output(OpId(1), Row::from([Value::I64(2)]));
         a.absorb(&b);
         assert_eq!(a.output_req(OpId(0))[0].as_i64(), 1, "must not overwrite");
         assert_eq!(a.output_req(OpId(1))[0].as_i64(), 2, "must fill gap");

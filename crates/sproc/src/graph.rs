@@ -130,6 +130,7 @@ mod tests {
     use super::*;
     use crate::op::{KeyExpr, OpKind};
     use chiller_common::ids::TableId;
+    use chiller_common::value::Row;
     use std::sync::Arc;
 
     fn read_op(id: u16, key: KeyExpr) -> Op {
@@ -198,7 +199,7 @@ mod tests {
             id: OpId(0),
             table: TableId(1),
             key: KeyExpr::Param(0),
-            kind: OpKind::Insert(Arc::new(|_| vec![])),
+            kind: OpKind::Insert(Arc::new(|_| Row::from([]))),
             value_deps: vec![],
             home_hint: None,
             label: "ins",

@@ -11,24 +11,36 @@
 
 use crate::lock::LockState;
 use chiller_common::value::Row;
-use std::collections::BTreeMap;
+
+/// One record slot of a bucket. `row` is `None` for a **tombstone**: a key
+/// whose write counter outlives its row (deleted by a committed write, or
+/// seeded by migration/replay before the row arrives).
+#[derive(Debug, Clone)]
+struct Slot {
+    key: u64,
+    row: Option<Row>,
+    /// Per-record write counter for history recording. Unlike the bucket
+    /// version (which couples neighbors by design — it is what OCC
+    /// validates), this identifies exactly which record a write installed,
+    /// so the serializability checker never sees a spurious cross-key
+    /// edge. It survives `remove` (a delete is itself a versioned write),
+    /// keeping versions monotone across delete + re-insert.
+    version: u64,
+}
 
 /// A bucket: a small set of records sharing one lock word and version.
+///
+/// Records live in one key-sorted slot vector — live rows and tombstones
+/// alike — so a one-record bucket (the default `records_per_bucket`) costs
+/// a single one-slot allocation.
 #[derive(Debug, Clone, Default)]
 pub struct Bucket {
-    /// Records keyed by primary key (within this bucket).
-    records: BTreeMap<u64, Row>,
+    /// Slots sorted by primary key (within this bucket).
+    slots: Vec<Slot>,
     /// Embedded lock word, manipulable via simulated one-sided atomics.
     pub lock: LockState,
     /// Bumped on every committed write/insert/delete.
     version: u64,
-    /// Per-record write counters for history recording. Unlike the bucket
-    /// version (which couples neighbors by design — it is what OCC
-    /// validates), these identify exactly which record a write installed,
-    /// so the serializability checker never sees a spurious cross-key
-    /// edge. Entries survive `remove` (a delete is itself a versioned
-    /// write), keeping versions monotone across delete + re-insert.
-    record_versions: BTreeMap<u64, u64>,
 }
 
 impl Bucket {
@@ -40,71 +52,100 @@ impl Bucket {
         self.version
     }
 
+    fn find(&self, key: u64) -> Result<usize, usize> {
+        self.slots.binary_search_by_key(&key, |s| s.key)
+    }
+
+    fn slot(&self, key: u64) -> Option<&Slot> {
+        self.find(key).ok().map(|i| &self.slots[i])
+    }
+
+    /// The slot of `key`, created as an unwritten tombstone if absent.
+    fn slot_mut(&mut self, key: u64) -> &mut Slot {
+        let i = match self.find(key) {
+            Ok(i) => i,
+            Err(i) => {
+                if self.slots.is_empty() {
+                    // Most buckets hold exactly one record: size for it.
+                    self.slots.reserve_exact(1);
+                }
+                self.slots.insert(
+                    i,
+                    Slot {
+                        key,
+                        row: None,
+                        version: 0,
+                    },
+                );
+                i
+            }
+        };
+        &mut self.slots[i]
+    }
+
     /// The per-record write counter of `key`: 0 if never written, otherwise
     /// the number of committed writes (including deletes) it has absorbed.
     pub fn record_version(&self, key: u64) -> u64 {
-        self.record_versions.get(&key).copied().unwrap_or(0)
+        self.slot(key).map_or(0, |s| s.version)
     }
 
     /// Force `key`'s write counter to `v` (migration carry-over: the
     /// destination continues the source's version chain so one record never
     /// installs the same version twice across partitions).
     pub fn set_record_version(&mut self, key: u64, v: u64) {
-        self.record_versions.insert(key, v);
+        self.slot_mut(key).version = v;
     }
 
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.slots.iter().filter(|s| s.row.is_some()).count()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.slots.iter().all(|s| s.row.is_none())
     }
 
     pub fn get(&self, key: u64) -> Option<&Row> {
-        self.records.get(&key)
+        self.slot(key).and_then(|s| s.row.as_ref())
     }
 
     pub fn contains(&self, key: u64) -> bool {
-        self.records.contains_key(&key)
+        self.get(key).is_some()
     }
 
     /// Overwrite (or create) a record and bump the version.
     pub fn put(&mut self, key: u64, row: Row) {
-        self.records.insert(key, row);
+        let slot = self.slot_mut(key);
+        slot.row = Some(row);
+        slot.version += 1;
         self.version += 1;
-        *self.record_versions.entry(key).or_insert(0) += 1;
     }
 
     /// Insert a new record; returns `false` (without bumping the version) if
     /// the key already exists.
     pub fn insert_new(&mut self, key: u64, row: Row) -> bool {
-        use std::collections::btree_map::Entry;
-        match self.records.entry(key) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(v) => {
-                v.insert(row);
-                self.version += 1;
-                *self.record_versions.entry(key).or_insert(0) += 1;
-                true
-            }
+        if self.contains(key) {
+            return false;
         }
+        self.put(key, row);
+        true
     }
 
     /// Remove a record; returns the old row if present, bumping the version.
     pub fn remove(&mut self, key: u64) -> Option<Row> {
-        let old = self.records.remove(&key);
-        if old.is_some() {
-            self.version += 1;
-            *self.record_versions.entry(key).or_insert(0) += 1;
-        }
-        old
+        let i = self.find(key).ok()?;
+        let slot = &mut self.slots[i];
+        let old = slot.row.take()?;
+        slot.version += 1;
+        self.version += 1;
+        Some(old)
     }
 
     /// Iterate records in key order (used by range scans like TPC-C's
     /// StockLevel and Delivery).
     pub fn iter(&self) -> impl Iterator<Item = (&u64, &Row)> {
-        self.records.iter()
+        self.slots
+            .iter()
+            .filter_map(|s| s.row.as_ref().map(|r| (&s.key, r)))
     }
 
     /// Iterate the complete per-record version map in key order —
@@ -112,14 +153,13 @@ impl Bucket {
     /// counter here). Checkpoints capture this so version chains survive
     /// recovery across delete + re-insert.
     pub fn versions(&self) -> impl Iterator<Item = (&u64, &u64)> {
-        self.record_versions.iter()
+        self.slots.iter().map(|s| (&s.key, &s.version))
     }
 
     /// Approximate memory footprint of the bucket's records in bytes.
     pub fn approx_size(&self) -> usize {
-        self.records
-            .values()
-            .map(|r| r.iter().map(|v| v.approx_size()).sum::<usize>() + 8)
+        self.iter()
+            .map(|(_, r)| r.iter().map(|v| v.approx_size()).sum::<usize>() + 8)
             .sum()
     }
 }
@@ -130,7 +170,7 @@ mod tests {
     use chiller_common::value::Value;
 
     fn row1(v: i64) -> Row {
-        vec![Value::I64(v)]
+        Row::from([Value::I64(v)])
     }
 
     #[test]
@@ -205,7 +245,7 @@ mod tests {
     fn approx_size_counts_rows() {
         let mut b = Bucket::new();
         assert_eq!(b.approx_size(), 0);
-        b.put(1, vec![Value::I64(1), Value::from("abcd")]);
+        b.put(1, Row::from([Value::I64(1), Value::from("abcd")]));
         assert_eq!(b.approx_size(), 8 + 12 + 8);
     }
 }

@@ -353,10 +353,10 @@ mod tests {
     #[test]
     fn crud_roundtrip() {
         let mut st = store();
-        st.insert(rid(1), vec![Value::I64(1), Value::F64(10.0)])
+        st.insert(rid(1), Row::from([Value::I64(1), Value::F64(10.0)]))
             .unwrap();
         assert_eq!(st.read(rid(1)).unwrap()[1].as_f64(), 10.0);
-        st.write(rid(1), vec![Value::I64(1), Value::F64(20.0)]);
+        st.write(rid(1), Row::from([Value::I64(1), Value::F64(20.0)]));
         assert_eq!(st.read(rid(1)).unwrap()[1].as_f64(), 20.0);
         let old = st.delete(rid(1)).unwrap();
         assert_eq!(old[1].as_f64(), 20.0);
@@ -369,9 +369,10 @@ mod tests {
     #[test]
     fn insert_duplicate_fails() {
         let mut st = store();
-        st.insert(rid(1), vec![Value::I64(1), Value::Null]).unwrap();
+        st.insert(rid(1), Row::from([Value::I64(1), Value::Null]))
+            .unwrap();
         assert!(matches!(
-            st.insert(rid(1), vec![Value::I64(1), Value::Null]),
+            st.insert(rid(1), Row::from([Value::I64(1), Value::Null])),
             Err(ChillerError::DuplicateKey(_))
         ));
     }
@@ -379,7 +380,8 @@ mod tests {
     #[test]
     fn no_wait_lock_conflict_surfaces_error() {
         let mut st = store();
-        st.insert(rid(1), vec![Value::I64(1), Value::Null]).unwrap();
+        st.insert(rid(1), Row::from([Value::I64(1), Value::Null]))
+            .unwrap();
         st.try_lock(rid(1), txn(1), LockMode::Exclusive, SimTime(0))
             .unwrap();
         let err = st
@@ -392,7 +394,8 @@ mod tests {
     #[test]
     fn unlock_reports_contention_span() {
         let mut st = store();
-        st.insert(rid(1), vec![Value::I64(1), Value::Null]).unwrap();
+        st.insert(rid(1), Row::from([Value::I64(1), Value::Null]))
+            .unwrap();
         st.try_lock(rid(1), txn(1), LockMode::Exclusive, SimTime(100))
             .unwrap();
         let rel = st.unlock(rid(1), txn(1), SimTime(400)).unwrap();
@@ -406,9 +409,9 @@ mod tests {
         let a = RecordId::new(TableId(2), 3);
         let b = RecordId::new(TableId(2), 7); // same bucket (size 10)
         let c = RecordId::new(TableId(2), 13); // next bucket
-        st.load(a, vec![Value::I64(3)]);
-        st.load(b, vec![Value::I64(7)]);
-        st.load(c, vec![Value::I64(13)]);
+        st.load(a, Row::from([Value::I64(3)]));
+        st.load(b, Row::from([Value::I64(7)]));
+        st.load(c, Row::from([Value::I64(13)]));
         st.try_lock(a, txn(1), LockMode::Exclusive, SimTime(0))
             .unwrap();
         assert!(st
@@ -421,9 +424,9 @@ mod tests {
     fn version_bumps_per_bucket_write() {
         let mut st = store();
         assert_eq!(st.version(rid(5)), 0);
-        st.write(rid(5), vec![Value::I64(5), Value::Null]);
+        st.write(rid(5), Row::from([Value::I64(5), Value::Null]));
         let v1 = st.version(rid(5));
-        st.write(rid(5), vec![Value::I64(5), Value::Null]);
+        st.write(rid(5), Row::from([Value::I64(5), Value::Null]));
         assert!(st.version(rid(5)) > v1);
     }
 
@@ -431,7 +434,7 @@ mod tests {
     fn record_counts() {
         let mut st = store();
         for k in 0..5 {
-            st.load(rid(k), vec![Value::I64(k as i64), Value::Null]);
+            st.load(rid(k), Row::from([Value::I64(k as i64), Value::Null]));
         }
         assert_eq!(st.num_records(), 5);
         assert_eq!(st.table(TableId(1)).num_buckets(), 5);
@@ -440,7 +443,7 @@ mod tests {
     #[test]
     fn holds_and_is_locked() {
         let mut st = store();
-        st.load(rid(1), vec![Value::I64(1), Value::Null]);
+        st.load(rid(1), Row::from([Value::I64(1), Value::Null]));
         assert!(!st.is_locked(rid(1)));
         st.try_lock(rid(1), txn(1), LockMode::Shared, SimTime(0))
             .unwrap();

@@ -213,7 +213,7 @@ fn put_value(buf: &mut Vec<u8>, v: &Value) {
 
 fn put_row(buf: &mut Vec<u8>, row: &Row) {
     put_u32(buf, row.len() as u32);
-    for v in row {
+    for v in row.iter() {
         put_value(buf, v);
     }
 }
@@ -304,7 +304,7 @@ impl<'a> Cursor<'a> {
         for _ in 0..n {
             row.push(self.value()?);
         }
-        Some(row)
+        Some(row.into())
     }
 
     fn record_id(&mut self) -> Option<RecordId> {
@@ -793,7 +793,7 @@ mod tests {
                     DecideWrite {
                         partition: PartitionId(0),
                         record: rid(7),
-                        op: RedoOp::Put(vec![Value::I64(-5), Value::F64(1.25)]),
+                        op: RedoOp::Put(Row::from([Value::I64(-5), Value::F64(1.25)])),
                     },
                     DecideWrite {
                         partition: PartitionId(2),
@@ -808,7 +808,7 @@ mod tests {
                 writes: vec![RedoWrite {
                     record: rid(7),
                     version: 42,
-                    op: RedoOp::Insert(vec![Value::Str("déjà".into()), Value::Null]),
+                    op: RedoOp::Insert(Row::from([Value::Str("déjà".into()), Value::Null])),
                 }],
             },
             WalRecord::Ack { txn: txn(1) },

@@ -7,7 +7,7 @@
 //! appends at the truncation point.
 
 use chiller_common::ids::{NodeId, PartitionId, RecordId, TableId, TxnId};
-use chiller_common::value::Value;
+use chiller_common::value::{Row, Value};
 use chiller_storage::wal::{
     decode_stream, encode_record, DecideWrite, RedoOp, RedoWrite, Wal, WalRecord,
 };
@@ -24,8 +24,8 @@ fn value_strategy() -> impl Strategy<Value = Value> {
     ]
 }
 
-fn row_strategy() -> impl Strategy<Value = Vec<Value>> {
-    prop::collection::vec(value_strategy(), 0..5)
+fn row_strategy() -> impl Strategy<Value = Row> {
+    prop::collection::vec(value_strategy(), 0..5).prop_map(Row::from)
 }
 
 fn op_strategy() -> impl Strategy<Value = RedoOp> {

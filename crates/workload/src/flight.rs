@@ -71,28 +71,28 @@ impl FlightConfig {
         for f in 0..self.flights {
             out.push((
                 RecordId::new(FLIGHT, f),
-                vec![
+                Row::from([
                     Value::from(f),
                     Value::I64(self.seats_per_flight),
                     Value::F64(100.0 + (f % 17) as f64 * 10.0),
-                ],
+                ]),
             ));
         }
         for c in 0..self.customers {
             out.push((
                 RecordId::new(CUSTOMER, c),
-                vec![
+                Row::from([
                     Value::from(c),
                     Value::from(format!("cust{c}")),
                     Value::from(c % self.states),
                     Value::F64(1e9),
-                ],
+                ]),
             ));
         }
         for s in 0..self.states {
             out.push((
                 RecordId::new(TAX, s),
-                vec![Value::from(s), Value::F64(0.01 * (s % 10) as f64)],
+                Row::from([Value::from(s), Value::F64(0.01 * (s % 10) as f64)]),
             ));
         }
         out
@@ -120,9 +120,7 @@ pub fn booking_proc() -> chiller_sproc::Procedure {
             st.output_req(OpId(1))[C_STATE].as_i64() as u64
         })
         .update_deps(FLIGHT, 0, &[OpId(0)], "seats -= 1", |row, _| {
-            let mut r = row.clone();
-            r[F_SEATS] = Value::I64(r[F_SEATS].as_i64() - 1);
-            r
+            update_row(row, |r| r[F_SEATS] = Value::I64(r[F_SEATS].as_i64() - 1))
         })
         .update_deps(
             CUSTOMER,
@@ -132,9 +130,9 @@ pub fn booking_proc() -> chiller_sproc::Procedure {
             |row, st| {
                 let price = st.output_req(OpId(0))[F_PRICE].as_f64();
                 let rate = st.output_req(OpId(2))[T_RATE].as_f64();
-                let mut r = row.clone();
-                r[C_BALANCE] = Value::F64(r[C_BALANCE].as_f64() - price * (1.0 + rate));
-                r
+                update_row(row, |r| {
+                    r[C_BALANCE] = Value::F64(r[C_BALANCE].as_f64() - price * (1.0 + rate));
+                })
             },
         )
         .insert_with_key_from(
@@ -146,10 +144,10 @@ pub fn booking_proc() -> chiller_sproc::Procedure {
                 (f[0].as_i64() as u64) << 32 | f[F_SEATS].as_i64() as u64
             },
             |st| {
-                vec![
+                Row::from([
                     st.params()[1].clone(),
                     st.output_req(OpId(1))[C_NAME].clone(),
-                ]
+                ])
             },
         )
         .value_deps(&[OpId(1)]) // Figure 4: sins has a v-dep on cread

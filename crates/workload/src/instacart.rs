@@ -97,7 +97,7 @@ impl InstacartConfig {
             .map(|p| {
                 (
                     RecordId::new(STOCK, p),
-                    vec![Value::from(p), Value::I64(1_000_000)],
+                    Row::from([Value::from(p), Value::I64(1_000_000)]),
                 )
             })
             .collect()
@@ -222,13 +222,11 @@ pub fn order_proc(basket: usize) -> chiller_sproc::Procedure {
     let mut b = ProcedureBuilder::new("GroceryOrder");
     for slot in 0..basket {
         b = b.update(STOCK, 1 + slot, "decrement stock", |row, _| {
-            let mut r = row.clone();
-            r[1] = Value::I64(r[1].as_i64() - 1);
-            r
+            update_row(row, |r| r[1] = Value::I64(r[1].as_i64() - 1))
         });
     }
     b = b.insert(ORDERS, 0, &[], "insert order", move |st| {
-        vec![Value::from(st.param_u64(0)), Value::from(basket as u64)]
+        Row::from([Value::from(st.param_u64(0)), Value::from(basket as u64)])
     });
     b.build().expect("grocery order procedure is well-formed")
 }

@@ -72,11 +72,11 @@ impl SmallBankConfig {
                 [
                     (
                         RecordId::new(CHECKING, k),
-                        vec![Value::from(k), Value::F64(INITIAL_BALANCE)],
+                        Row::from([Value::from(k), Value::F64(INITIAL_BALANCE)]),
                     ),
                     (
                         RecordId::new(SAVINGS, k),
-                        vec![Value::from(k), Value::F64(INITIAL_BALANCE)],
+                        Row::from([Value::from(k), Value::F64(INITIAL_BALANCE)]),
                     ),
                 ]
             })
@@ -163,9 +163,7 @@ pub fn balance_proc() -> chiller_sproc::Procedure {
 pub fn deposit_checking_proc() -> chiller_sproc::Procedure {
     ProcedureBuilder::new("DepositChecking")
         .update(CHECKING, 0, "deposit", |row, _| {
-            let mut r = row.clone();
-            r[BAL] = Value::F64(r[BAL].as_f64() + AMOUNT);
-            r
+            update_row(row, |r| r[BAL] = Value::F64(r[BAL].as_f64() + AMOUNT))
         })
         .build()
         .expect("DepositChecking procedure is well-formed")
@@ -177,14 +175,10 @@ pub fn deposit_checking_proc() -> chiller_sproc::Procedure {
 pub fn transact_savings_proc() -> chiller_sproc::Procedure {
     ProcedureBuilder::new("TransactSavings")
         .update(CHECKING, 0, "debit checking", |row, _| {
-            let mut r = row.clone();
-            r[BAL] = Value::F64(r[BAL].as_f64() - AMOUNT);
-            r
+            update_row(row, |r| r[BAL] = Value::F64(r[BAL].as_f64() - AMOUNT))
         })
         .update(SAVINGS, 0, "credit savings", |row, _| {
-            let mut r = row.clone();
-            r[BAL] = Value::F64(r[BAL].as_f64() + AMOUNT);
-            r
+            update_row(row, |r| r[BAL] = Value::F64(r[BAL].as_f64() + AMOUNT))
         })
         .build()
         .expect("TransactSavings procedure is well-formed")
@@ -197,9 +191,7 @@ pub fn write_check_proc() -> chiller_sproc::Procedure {
     ProcedureBuilder::new("WriteCheck")
         .read_for_update(CHECKING, 0, "read checking")
         .update_deps(CHECKING, 0, &[OpId(0)], "cash check", |row, _| {
-            let mut r = row.clone();
-            r[BAL] = Value::F64(r[BAL].as_f64() - AMOUNT);
-            r
+            update_row(row, |r| r[BAL] = Value::F64(r[BAL].as_f64() - AMOUNT))
         })
         .guard(&[OpId(0)], "sufficient funds", |st| {
             if st.output_req(OpId(0))[BAL].as_f64() < AMOUNT {
@@ -219,14 +211,10 @@ pub fn amalgamate_proc() -> chiller_sproc::Procedure {
         .read_for_update(SAVINGS, 0, "read src savings")
         .read_for_update(CHECKING, 0, "read src checking")
         .update_deps(SAVINGS, 0, &[OpId(0)], "zero src savings", |row, _| {
-            let mut r = row.clone();
-            r[BAL] = Value::F64(0.0);
-            r
+            update_row(row, |r| r[BAL] = Value::F64(0.0))
         })
         .update_deps(CHECKING, 0, &[OpId(1)], "zero src checking", |row, _| {
-            let mut r = row.clone();
-            r[BAL] = Value::F64(0.0);
-            r
+            update_row(row, |r| r[BAL] = Value::F64(0.0))
         })
         .update_deps(
             CHECKING,
@@ -236,9 +224,9 @@ pub fn amalgamate_proc() -> chiller_sproc::Procedure {
             |row, st| {
                 let swept =
                     st.output_req(OpId(0))[BAL].as_f64() + st.output_req(OpId(1))[BAL].as_f64();
-                let mut r = row.clone();
-                r[BAL] = Value::F64(r[BAL].as_f64() + swept);
-                r
+                update_row(row, |r| {
+                    r[BAL] = Value::F64(r[BAL].as_f64() + swept);
+                })
             },
         )
         .build()
@@ -252,14 +240,10 @@ pub fn send_payment_proc() -> chiller_sproc::Procedure {
     ProcedureBuilder::new("SendPayment")
         .read_for_update(CHECKING, 0, "read src checking")
         .update_deps(CHECKING, 0, &[OpId(0)], "debit src", |row, _| {
-            let mut r = row.clone();
-            r[BAL] = Value::F64(r[BAL].as_f64() - AMOUNT);
-            r
+            update_row(row, |r| r[BAL] = Value::F64(r[BAL].as_f64() - AMOUNT))
         })
         .update(CHECKING, 1, "credit dst", |row, _| {
-            let mut r = row.clone();
-            r[BAL] = Value::F64(r[BAL].as_f64() + AMOUNT);
-            r
+            update_row(row, |r| r[BAL] = Value::F64(r[BAL].as_f64() + AMOUNT))
         })
         .guard(&[OpId(0)], "sufficient funds", |st| {
             if st.output_req(OpId(0))[BAL].as_f64() < AMOUNT {

@@ -68,28 +68,28 @@ pub fn load_tpcc(cfg: &TpccConfig) -> Vec<(RecordId, Row)> {
     for w in 1..=cfg.warehouses {
         out.push((
             RecordId::new(tables::WAREHOUSE, keys::warehouse(w)),
-            vec![
+            Row::from([
                 Value::from(w),
                 Value::F64(rng.gen_range(0.0..0.2)), // w_tax
                 Value::F64(300_000.0),               // w_ytd
-            ],
+            ]),
         ));
         for d in 1..=10u64 {
             out.push((
                 RecordId::new(tables::DISTRICT, keys::district(w, d)),
-                vec![
+                Row::from([
                     Value::from(w),
                     Value::from(d),
                     Value::F64(rng.gen_range(0.0..0.2)), // d_tax
                     Value::F64(30_000.0),                // d_ytd
                     Value::from(cfg.first_new_order()),  // d_next_o_id
                     Value::from(cfg.last_delivered()),   // d_last_delivered
-                ],
+                ]),
             ));
             for c in 1..=cfg.customers_per_district {
                 out.push((
                     RecordId::new(tables::CUSTOMER, keys::customer(w, d, c)),
-                    vec![
+                    Row::from([
                         Value::from(w),
                         Value::from(d),
                         Value::from(c),
@@ -97,7 +97,7 @@ pub fn load_tpcc(cfg: &TpccConfig) -> Vec<(RecordId, Row)> {
                         Value::F64(10.0),  // c_ytd_payment
                         Value::from(1u64), // c_payment_cnt
                         Value::from(0u64), // c_delivery_cnt
-                    ],
+                    ]),
                 ));
             }
             for o in 1..=cfg.preloaded_orders {
@@ -110,29 +110,29 @@ pub fn load_tpcc(cfg: &TpccConfig) -> Vec<(RecordId, Row)> {
                     total += amount;
                     out.push((
                         RecordId::new(tables::ORDER_LINE, keys::order_line(w, d, o, line)),
-                        vec![
+                        Row::from([
                             Value::from(i),
                             Value::from(w), // supply warehouse (home for preload)
                             Value::F64(qty),
                             Value::F64(amount),
-                        ],
+                        ]),
                     ));
                 }
                 let delivered = o <= cfg.last_delivered();
                 out.push((
                     RecordId::new(tables::ORDER, keys::order(w, d, o)),
-                    vec![
+                    Row::from([
                         Value::from(o),
                         Value::from(c),
                         Value::from(if delivered { 5u64 } else { 0 }), // o_carrier_id
                         Value::from(cfg.preloaded_lines),
                         Value::F64(total),
-                    ],
+                    ]),
                 ));
                 if !delivered {
                     out.push((
                         RecordId::new(tables::NEW_ORDER, keys::new_order(w, d, o)),
-                        vec![Value::from(o)],
+                        Row::from([Value::from(o)]),
                     ));
                 }
             }
@@ -140,13 +140,13 @@ pub fn load_tpcc(cfg: &TpccConfig) -> Vec<(RecordId, Row)> {
         for i in 1..=cfg.items {
             out.push((
                 RecordId::new(tables::STOCK, keys::stock(w, i)),
-                vec![
+                Row::from([
                     Value::from(i),
                     Value::I64(rng.gen_range(50..=100)), // s_quantity
                     Value::F64(0.0),                     // s_ytd
                     Value::from(0u64),                   // s_order_cnt
                     Value::from(0u64),                   // s_remote_cnt
-                ],
+                ]),
             ));
         }
     }

@@ -19,7 +19,7 @@
 
 use super::schema::tables;
 use chiller_common::ids::OpId;
-use chiller_common::value::Value;
+use chiller_common::value::{update_row, Row, Value};
 use chiller_sproc::{Procedure, ProcedureBuilder};
 
 // Column indices (shared with the invariant checks in `invariants.rs`).
@@ -96,9 +96,9 @@ pub fn new_order_proc(lines: usize) -> Procedure {
     let mut b = ProcedureBuilder::new("NewOrder")
         .read(tables::WAREHOUSE, 0, "read warehouse")
         .update(tables::DISTRICT, 1, "bump d_next_o_id", |row, _| {
-            let mut r = row.clone();
-            r[D_NEXT_O_ID] = Value::I64(r[D_NEXT_O_ID].as_i64() + 1);
-            r
+            update_row(row, |r| {
+                r[D_NEXT_O_ID] = Value::I64(r[D_NEXT_O_ID].as_i64() + 1)
+            })
         })
         .read(tables::CUSTOMER, 2, "read customer");
     for l in 0..lines {
@@ -108,18 +108,18 @@ pub fn new_order_proc(lines: usize) -> Procedure {
             let qty = st.param_i64(qty_param);
             let home_w = st.param_u64(0) >> W_SHIFT;
             let supply_w = st.param_u64(key_param) >> W_SHIFT;
-            let mut r = row.clone();
-            let mut s_qty = r[S_QUANTITY].as_i64() - qty;
-            if s_qty < 10 {
-                s_qty += 91;
-            }
-            r[S_QUANTITY] = Value::I64(s_qty);
-            r[S_YTD] = Value::F64(r[S_YTD].as_f64() + qty as f64);
-            r[S_ORDER_CNT] = Value::I64(r[S_ORDER_CNT].as_i64() + 1);
-            if supply_w != home_w {
-                r[S_REMOTE_CNT] = Value::I64(r[S_REMOTE_CNT].as_i64() + 1);
-            }
-            r
+            update_row(row, |r| {
+                let mut s_qty = r[S_QUANTITY].as_i64() - qty;
+                if s_qty < 10 {
+                    s_qty += 91;
+                }
+                r[S_QUANTITY] = Value::I64(s_qty);
+                r[S_YTD] = Value::F64(r[S_YTD].as_f64() + qty as f64);
+                r[S_ORDER_CNT] = Value::I64(r[S_ORDER_CNT].as_i64() + 1);
+                if supply_w != home_w {
+                    r[S_REMOTE_CNT] = Value::I64(r[S_REMOTE_CNT].as_i64() + 1);
+                }
+            })
         });
     }
     // o_id = the pre-increment district counter.
@@ -138,13 +138,13 @@ pub fn new_order_proc(lines: usize) -> Procedure {
             "insert order",
             move |st| (st.param_u64(1) & WD_MASK) | (o_of(st) << 8),
             move |st| {
-                vec![
+                Row::from([
                     Value::from(o_of(st)),
                     Value::from(st.param_u64(2) >> 16 & 0xFF_FFFF), // c_id
                     Value::from(0u64),                              // carrier
                     Value::from(lines as u64),
                     Value::F64(order_total(st)),
-                ]
+                ])
             },
         )
         .hint(|st| st.param_u64(1))
@@ -153,7 +153,7 @@ pub fn new_order_proc(lines: usize) -> Procedure {
             &[district_op],
             "insert new_order",
             move |st| (st.param_u64(1) & WD_MASK) | (o_of(st) << 8),
-            move |st| vec![Value::from(o_of(st))],
+            move |st| Row::from([Value::from(o_of(st))]),
         )
         .hint(|st| st.param_u64(1));
     for l in 0..lines {
@@ -168,12 +168,12 @@ pub fn new_order_proc(lines: usize) -> Procedure {
                     let stock_key = st.param_u64(key_param);
                     let qty = st.param_i64(key_param + 1);
                     let price = st.param_f64(key_param + 2);
-                    vec![
+                    Row::from([
                         Value::from(stock_key & 0xFFFF_FFFF), // i_id
                         Value::from(stock_key >> W_SHIFT),    // supply w
                         Value::F64(qty as f64),
                         Value::F64(qty as f64 * price),
-                    ]
+                    ])
                 },
             )
             .hint(|st| st.param_u64(1));
@@ -195,25 +195,25 @@ pub fn new_order_proc(lines: usize) -> Procedure {
 pub fn payment_proc() -> Procedure {
     ProcedureBuilder::new("Payment")
         .update(tables::WAREHOUSE, 0, "w_ytd += amount", |row, st| {
-            let mut r = row.clone();
-            r[W_YTD] = Value::F64(r[W_YTD].as_f64() + st.param_f64(3));
-            r
+            update_row(row, |r| {
+                r[W_YTD] = Value::F64(r[W_YTD].as_f64() + st.param_f64(3))
+            })
         })
         .update(tables::DISTRICT, 1, "d_ytd += amount", |row, st| {
-            let mut r = row.clone();
-            r[D_YTD] = Value::F64(r[D_YTD].as_f64() + st.param_f64(3));
-            r
+            update_row(row, |r| {
+                r[D_YTD] = Value::F64(r[D_YTD].as_f64() + st.param_f64(3))
+            })
         })
         .update(tables::CUSTOMER, 2, "pay customer", |row, st| {
             let amount = st.param_f64(3);
-            let mut r = row.clone();
-            r[C_BALANCE] = Value::F64(r[C_BALANCE].as_f64() - amount);
-            r[C_YTD_PAYMENT] = Value::F64(r[C_YTD_PAYMENT].as_f64() + amount);
-            r[C_PAYMENT_CNT] = Value::I64(r[C_PAYMENT_CNT].as_i64() + 1);
-            r
+            update_row(row, |r| {
+                r[C_BALANCE] = Value::F64(r[C_BALANCE].as_f64() - amount);
+                r[C_YTD_PAYMENT] = Value::F64(r[C_YTD_PAYMENT].as_f64() + amount);
+                r[C_PAYMENT_CNT] = Value::I64(r[C_PAYMENT_CNT].as_i64() + 1);
+            })
         })
         .insert(tables::HISTORY, 4, &[], "insert history", |st| {
-            vec![Value::from(st.param_u64(2)), Value::F64(st.param_f64(3))]
+            Row::from([Value::from(st.param_u64(2)), Value::F64(st.param_f64(3))])
         })
         .build()
         .expect("Payment procedure is well-formed")
@@ -245,20 +245,16 @@ pub fn delivery_proc() -> Procedure {
     };
     ProcedureBuilder::new("Delivery")
         .update(tables::DISTRICT, 0, "advance d_last_delivered", |row, _| {
-            let mut r = row.clone();
-            r[D_LAST_DELIVERED] = Value::I64(r[D_LAST_DELIVERED].as_i64() + 1);
-            r
+            update_row(row, |r| {
+                r[D_LAST_DELIVERED] = Value::I64(r[D_LAST_DELIVERED].as_i64() + 1)
+            })
         })
         .update_with_key_from(
             tables::ORDER,
             &[district_op],
             "stamp carrier",
             move |st| (st.param_u64(0) & WD_MASK) | (o_of(st) << 8),
-            |row, st| {
-                let mut r = row.clone();
-                r[O_CARRIER] = Value::I64(st.param_i64(1));
-                r
-            },
+            |row, st| update_row(row, |r| r[O_CARRIER] = Value::I64(st.param_i64(1))),
         )
         .hint(|st| st.param_u64(0))
         .op(
@@ -282,10 +278,10 @@ pub fn delivery_proc() -> Procedure {
             },
             move |row, st| {
                 let total = st.output_req(order_op)[O_TOTAL].as_f64();
-                let mut r = row.clone();
-                r[C_BALANCE] = Value::F64(r[C_BALANCE].as_f64() + total);
-                r[C_DELIVERY_CNT] = Value::I64(r[C_DELIVERY_CNT].as_i64() + 1);
-                r
+                update_row(row, |r| {
+                    r[C_BALANCE] = Value::F64(r[C_BALANCE].as_f64() + total);
+                    r[C_DELIVERY_CNT] = Value::I64(r[C_DELIVERY_CNT].as_i64() + 1);
+                })
             },
         )
         .hint(|st| st.param_u64(0))

@@ -43,7 +43,7 @@ impl TransferConfig {
             .map(|k| {
                 (
                     RecordId::new(ACCOUNTS, k),
-                    vec![Value::from(k), Value::F64(INITIAL_BALANCE)],
+                    Row::from([Value::from(k), Value::F64(INITIAL_BALANCE)]),
                 )
             })
             .collect()
@@ -70,14 +70,10 @@ impl TransferConfig {
 pub fn transfer_proc() -> chiller_sproc::Procedure {
     ProcedureBuilder::new("transfer")
         .update(ACCOUNTS, 0, "debit", |row, st| {
-            let mut r = row.clone();
-            r[1] = Value::F64(r[1].as_f64() - st.param_f64(2));
-            r
+            update_row(row, |r| r[1] = Value::F64(r[1].as_f64() - st.param_f64(2)))
         })
         .update(ACCOUNTS, 1, "credit", |row, st| {
-            let mut r = row.clone();
-            r[1] = Value::F64(r[1].as_f64() + st.param_f64(2));
-            r
+            update_row(row, |r| r[1] = Value::F64(r[1].as_f64() + st.param_f64(2)))
         })
         .build()
         .expect("transfer procedure is well-formed")

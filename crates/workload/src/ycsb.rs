@@ -45,7 +45,12 @@ impl YcsbConfig {
 
     pub fn initial_records(&self) -> Vec<(RecordId, Row)> {
         (0..self.records)
-            .map(|k| (RecordId::new(KV, k), vec![Value::from(k), Value::I64(0)]))
+            .map(|k| {
+                (
+                    RecordId::new(KV, k),
+                    Row::from([Value::from(k), Value::I64(0)]),
+                )
+            })
             .collect()
     }
 
@@ -64,9 +69,7 @@ pub fn ycsb_proc(reads: usize, writes: usize) -> chiller_sproc::Procedure {
     }
     for slot in 0..writes {
         b = b.update(KV, reads + slot, "rmw", |row, _| {
-            let mut r = row.clone();
-            r[1] = Value::I64(r[1].as_i64() + 1);
-            r
+            update_row(row, |r| r[1] = Value::I64(r[1].as_i64() + 1))
         });
     }
     b.build().expect("ycsb procedure is well-formed")
