@@ -9,15 +9,15 @@
 //! never a moment where the directory routes to a partition that does not
 //! hold the record and will not transparently retry it.
 
+use chiller_common::hash::{IntMap, IntSet};
 use chiller_common::ids::{PartitionId, RecordId};
 use chiller_storage::placement::Placement;
-use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, RwLock};
 
 #[derive(Debug, Default)]
 struct DirState {
-    entries: HashMap<RecordId, PartitionId>,
-    hot: HashSet<RecordId>,
+    entries: IntMap<RecordId, PartitionId>,
+    hot: IntSet<RecordId>,
 }
 
 /// Shared, mutable successor of the frozen §4.4 `LookupTable`: explicit

@@ -14,11 +14,11 @@ use super::{
 use crate::engine::EngineActor;
 use crate::msg::Msg;
 use crate::protocol::Protocol;
-use chiller_common::ids::{NodeId, OpId, RecordId, TxnId};
+use chiller_common::ids::{NodeId, OpId, PartitionId, RecordId, TxnId};
 use chiller_common::value::Row;
 use chiller_simnet::{Ctx, Verb};
+use chiller_sproc::decide_regions_into;
 use chiller_sproc::decision::GuardSite;
-use chiller_sproc::{decide_regions, ExecState, Procedure, RegionSplit};
 
 /// Strategy singleton for [`Protocol::Chiller`].
 pub struct ChillerCoordinator;
@@ -30,23 +30,31 @@ impl CoordinatorProtocol for ChillerCoordinator {
 
     /// §3.3 steps 1–2: resolve every statically-decidable key, look up its
     /// partition and hotness, and run the region decision.
-    fn admission_split(
-        &self,
-        eng: &EngineActor,
-        proc: &Procedure,
-        exec: &ExecState,
-    ) -> RegionSplit {
-        let mut op_partition = Vec::with_capacity(proc.num_ops());
-        let mut op_hot = Vec::with_capacity(proc.num_ops());
-        for op in &proc.ops {
-            let rid = op.decision_key(exec).map(|k| RecordId::new(op.table, k));
-            op_partition.push(rid.map(|r| eng.placement.partition_of(r)));
-            op_hot.push(rid.map(|r| eng.hot.contains(&r)).unwrap_or(false));
+    fn admission_split(&self, eng: &EngineActor, coord: &mut Coord) {
+        let scratch = &mut coord.decision;
+        scratch.op_partition.clear();
+        scratch.op_hot.clear();
+        for op in &coord.proc.ops {
+            let rid = op
+                .decision_key(&coord.exec)
+                .map(|k| RecordId::new(op.table, k));
+            scratch
+                .op_partition
+                .push(rid.map(|r| eng.placement.partition_of(r)));
+            scratch
+                .op_hot
+                .push(rid.map(|r| eng.hot.contains(&r)).unwrap_or(false));
         }
-        decide_regions(proc, &op_partition, &op_hot)
+        decide_regions_into(&coord.proc, scratch, &mut coord.split);
     }
 
-    fn wave_message(&self, coord: &Coord, txn: TxnId, req: u64, ops: &[OpId]) -> Msg {
+    fn wave_message(
+        &self,
+        coord: &Coord,
+        txn: TxnId,
+        req: u64,
+        ops: &[(PartitionId, OpId)],
+    ) -> Msg {
         lock_based::lock_read_message(coord, txn, req, ops)
     }
 
@@ -124,14 +132,14 @@ impl CoordinatorProtocol for ChillerCoordinator {
 /// §3.3 step 4: ship the inner region to the inner host.
 fn send_inner(eng: &mut EngineActor, ctx: &mut Ctx<'_, Msg>, txn: TxnId, coord: &mut Coord) {
     let host = coord.split.inner_host.expect("two-region");
-    coord.participants.insert(host);
+    coord.add_participant(host);
     let inner_has_writes = coord
         .split
         .inner_ops
         .iter()
         .any(|id| coord.proc.op(*id).kind.is_write());
     let expect_replica_acks = if inner_has_writes {
-        eng.replica_nodes(host).len()
+        eng.replica_count()
     } else {
         0
     };
@@ -170,8 +178,8 @@ fn send_inner(eng: &mut EngineActor, ctx: &mut Ctx<'_, Msg>, txn: TxnId, coord: 
         Verb::Rpc,
         Msg::ExecInner {
             txn,
-            proc: coord.input.proc,
-            params: coord.input.params.clone(),
+            proc: coord.proc_idx,
+            params: coord.exec.params().to_vec(),
             outer_outputs,
             inner_ops: coord.split.inner_ops.clone(),
             inner_guards,

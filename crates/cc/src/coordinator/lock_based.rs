@@ -2,7 +2,7 @@
 //! region): combined lock+read waves, grant/conflict handling, and the
 //! write-back + unlock commit with the prepare piggybacked (Figure 3a).
 
-use super::{finish_commit, in_scope, lock_mode_for, Coord, FailKind, Phase};
+use super::{finish_commit, in_scope, leading_group, lock_mode_for, Coord, FailKind, Phase};
 use crate::engine::EngineActor;
 use crate::msg::{LockReadItem, Msg, WriteItem};
 use chiller_common::ids::{NodeId, OpId, PartitionId, RecordId, TxnId};
@@ -10,16 +10,21 @@ use chiller_common::metrics::AbortReason;
 use chiller_common::value::Row;
 use chiller_simnet::{Ctx, Verb};
 use chiller_sproc::op::OpKind;
-use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Wave dispatch: a combined CAS-lock + READ batch for one partition.
-pub(super) fn lock_read_message(coord: &Coord, txn: TxnId, req: u64, ops: &[OpId]) -> Msg {
+pub(super) fn lock_read_message(
+    coord: &Coord,
+    txn: TxnId,
+    req: u64,
+    ops: &[(PartitionId, OpId)],
+) -> Msg {
     Msg::LockRead {
         txn,
         req,
         items: ops
             .iter()
-            .map(|&id| {
+            .map(|&(_, id)| {
                 let op = coord.proc.op(id);
                 LockReadItem {
                     op: id,
@@ -51,10 +56,9 @@ pub(super) fn absorb_lock_read_resp(
 ) {
     coord.pending -= 1;
     ctx.use_cpu(eng.op_cpu());
-    let ops = coord.inflight.remove(&req).expect("unknown request id");
     if granted {
-        for &id in &ops {
-            let st = &mut coord.ops[id.idx()];
+        // The request's ops, in procedure order (= message order).
+        for st in coord.ops.iter_mut().filter(|st| st.req == req) {
             st.responded = true;
             coord
                 .held_locks
@@ -101,22 +105,27 @@ pub(super) fn commit_locked(
     // repair participants that never saw their CommitOuter.
     super::log_decide(eng, txn, coord, None);
 
-    let mut writes_by_part: BTreeMap<PartitionId, Vec<WriteItem>> = BTreeMap::new();
-    for (p, w) in coord.writes.drain(..) {
-        writes_by_part.entry(p).or_default().push(w);
-    }
-    let mut unlocks_by_part: BTreeMap<PartitionId, Vec<RecordId>> = BTreeMap::new();
-    for (p, rid) in coord.held_locks.drain(..) {
-        unlocks_by_part.entry(p).or_default().push(rid);
-    }
-    let parts: BTreeSet<PartitionId> = writes_by_part
-        .keys()
-        .chain(unlocks_by_part.keys())
-        .copied()
-        .collect();
-    for part in parts {
-        let writes = writes_by_part.remove(&part).unwrap_or_default();
-        let unlocks = unlocks_by_part.remove(&part).unwrap_or_default();
+    // Group writes and unlocks by partition: stable sorts keep each
+    // partition's items in buffered order, and the walk below visits the
+    // union of both partition sets in ascending order.
+    coord.writes.sort_by_key(|(p, _)| *p);
+    coord.held_locks.sort_by_key(|&(p, _)| p);
+    loop {
+        let part = match (coord.writes.first(), coord.held_locks.first()) {
+            (Some(&(w, _)), Some(&(l, _))) => w.min(l),
+            (Some(&(p, _)), None) | (None, Some(&(p, _))) => p,
+            (None, None) => break,
+        };
+        let nw = leading_group(&coord.writes, part);
+        let nl = leading_group(&coord.held_locks, part);
+        // One write-set per partition, shared by the write-back and every
+        // replica's `Replicate`.
+        let writes: Arc<[WriteItem]> = if nw == 0 {
+            Arc::default()
+        } else {
+            coord.writes.drain(..nw).map(|(_, w)| w).collect()
+        };
+        let unlocks: Vec<RecordId> = coord.held_locks.drain(..nl).map(|(_, r)| r).collect();
         if !writes.is_empty() {
             for replica in eng.replica_nodes(part) {
                 ctx.send(
@@ -125,7 +134,7 @@ pub(super) fn commit_locked(
                     Msg::Replicate {
                         txn,
                         partition: part,
-                        writes: writes.clone(),
+                        writes: Arc::clone(&writes),
                         ack_coordinator: true,
                     },
                 );

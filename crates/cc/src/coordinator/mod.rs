@@ -47,9 +47,8 @@ use chiller_obs::EventKind;
 use chiller_simnet::{Ctx, Verb};
 use chiller_sproc::decision::GuardSite;
 use chiller_sproc::op::OpKind;
-use chiller_sproc::{ExecState, Procedure, RegionSplit};
+use chiller_sproc::{DecisionScratch, ExecState, Procedure, RegionSplit};
 use chiller_storage::lock::LockMode;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 pub use chiller::ChillerCoordinator;
@@ -71,20 +70,19 @@ pub trait CoordinatorProtocol: Send + Sync {
     fn protocol(&self) -> Protocol;
 
     /// Txn admission (§3.3 steps 1–2): decide the region split before the
-    /// first wave. Baselines run everything as one outer region.
-    fn admission_split(
-        &self,
-        eng: &EngineActor,
-        proc: &Procedure,
-        exec: &ExecState,
-    ) -> RegionSplit {
-        let _ = (eng, exec);
-        RegionSplit::all_outer(proc)
+    /// first wave, writing it into `coord.split` (whose buffers, like the
+    /// rest of `coord`, are reused across the slot's attempts). Baselines
+    /// run everything as one outer region.
+    fn admission_split(&self, eng: &EngineActor, coord: &mut Coord) {
+        let _ = eng;
+        coord.split.set_all_outer(&coord.proc);
     }
 
     /// Wave dispatch: build the access message for one per-partition batch
-    /// of ready ops (`ops` is non-empty; `req` correlates the response).
-    fn wave_message(&self, coord: &Coord, txn: TxnId, req: u64, ops: &[OpId]) -> Msg;
+    /// of ready ops (`ops` is non-empty, all on one partition, in procedure
+    /// order; `req` correlates the response).
+    fn wave_message(&self, coord: &Coord, txn: TxnId, req: u64, ops: &[(PartitionId, OpId)])
+        -> Msg;
 
     /// Prepare/validate: every in-scope op has responded and nothing else
     /// is issuable — enter the protocol's commit path (write-back for 2PL,
@@ -131,6 +129,9 @@ pub struct OpState {
     pub(crate) raw_row: Option<Row>,
     /// Version observed at read time (OCC only).
     pub(crate) version: u64,
+    /// Request id of the access message that carried this op (0 until
+    /// issued; request ids start at 1).
+    pub(crate) req: u64,
 }
 
 /// Why a transaction attempt failed.
@@ -162,26 +163,37 @@ pub enum Phase {
 }
 
 /// Coordinator state for one in-flight transaction attempt.
+///
+/// An engine slot keeps this value across its attempts (see
+/// `EngineActor::retire`): `Coord::reset` re-arms it for the next
+/// input, so the per-attempt vectors and the region-decision scratch are
+/// allocated once per slot rather than once per attempt.
 pub struct Coord {
     pub(crate) slot: usize,
-    pub(crate) input: TxnInput,
+    /// Registry index of the procedure. With `exec`'s parameters this is
+    /// the input, re-assembled when the attempt is retried.
+    pub(crate) proc_idx: usize,
     pub(crate) proc: Arc<Procedure>,
     pub(crate) exec: ExecState,
     pub(crate) split: RegionSplit,
+    /// Inputs and scratch of the §3.3 region decision.
+    pub(crate) decision: DecisionScratch,
     pub(crate) ops: Vec<OpState>,
     pub(crate) guards_checked: Vec<bool>,
     pub(crate) phase: Phase,
     pub(crate) pending: usize,
     pub(crate) failed: Option<FailKind>,
-    /// Request-id → ops carried by that in-flight access message.
-    pub(crate) inflight: HashMap<u64, Vec<OpId>>,
     pub(crate) next_req: u64,
     /// Outer locks currently held.
     pub(crate) held_locks: Vec<(PartitionId, RecordId)>,
     /// Buffered writes (applied at commit).
     pub(crate) writes: Vec<(PartitionId, WriteItem)>,
-    /// All partitions this attempt touched.
-    pub(crate) participants: BTreeSet<PartitionId>,
+    /// All partitions this attempt touched, ascending and distinct.
+    pub(crate) participants: Vec<PartitionId>,
+    /// Scratch for one wave's newly issued ops, grouped by partition.
+    pub(crate) wave: Vec<(PartitionId, OpId)>,
+    /// OCC scratch: the write-set's records, ascending and distinct.
+    pub(crate) write_rids: Vec<RecordId>,
     /// Chiller: inner-region progress.
     pub(crate) inner_sent: bool,
     pub(crate) inner_ok: bool,
@@ -196,43 +208,107 @@ pub struct Coord {
 }
 
 impl Coord {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         slot: usize,
         input: TxnInput,
         proc: Arc<Procedure>,
-        exec: ExecState,
-        split: RegionSplit,
         prior_attempts: u32,
         first_start: SimTime,
         traced: bool,
     ) -> Self {
-        let n = proc.num_ops();
-        let num_guards = proc.guards.len();
-        Coord {
+        let mut coord = Coord {
             slot,
-            input,
-            proc,
-            exec,
-            split,
-            ops: vec![OpState::default(); n],
-            guards_checked: vec![false; num_guards],
+            proc_idx: input.proc,
+            proc: Arc::clone(&proc),
+            exec: ExecState::default(),
+            split: RegionSplit::default(),
+            decision: DecisionScratch::default(),
+            ops: Vec::new(),
+            guards_checked: Vec::new(),
             phase: Phase::Executing,
             pending: 0,
             failed: None,
-            inflight: HashMap::new(),
             next_req: 0,
             held_locks: Vec::new(),
             writes: Vec::new(),
-            participants: BTreeSet::new(),
+            participants: Vec::new(),
+            wave: Vec::new(),
+            write_rids: Vec::new(),
             inner_sent: false,
             inner_ok: false,
             validated_ok: Vec::new(),
-            attempts: prior_attempts + 1,
+            attempts: 0,
             first_start,
             traced,
+        };
+        coord.reset(input, proc, prior_attempts, first_start, traced);
+        coord
+    }
+
+    /// Re-arm this slot's state for a new attempt of `input`, keeping every
+    /// buffer's capacity. The caller then runs admission, which fills
+    /// `split`.
+    pub(crate) fn reset(
+        &mut self,
+        input: TxnInput,
+        proc: Arc<Procedure>,
+        prior_attempts: u32,
+        first_start: SimTime,
+        traced: bool,
+    ) {
+        let n = proc.num_ops();
+        self.proc_idx = input.proc;
+        self.exec.reset(input.params, n);
+        self.ops.clear();
+        self.ops.resize(n, OpState::default());
+        self.guards_checked.clear();
+        self.guards_checked.resize(proc.guards.len(), false);
+        self.proc = proc;
+        self.phase = Phase::Executing;
+        self.pending = 0;
+        self.failed = None;
+        self.next_req = 0;
+        self.held_locks.clear();
+        self.writes.clear();
+        self.participants.clear();
+        self.wave.clear();
+        self.write_rids.clear();
+        self.inner_sent = false;
+        self.inner_ok = false;
+        self.validated_ok.clear();
+        self.attempts = prior_attempts + 1;
+        self.first_start = first_start;
+        self.traced = traced;
+    }
+
+    /// Drop every row this retired attempt still shares (op state, outputs,
+    /// buffered writes) so a parked slot pins no store data.
+    pub(crate) fn release_rows(&mut self) {
+        self.ops.clear();
+        self.exec.clear_outputs();
+        self.writes.clear();
+    }
+
+    /// The input this attempt runs, taken back for a retry.
+    pub(crate) fn take_input(&mut self) -> TxnInput {
+        TxnInput {
+            proc: self.proc_idx,
+            params: self.exec.take_params(),
         }
     }
+
+    /// Record that this attempt touches partition `p`.
+    pub(crate) fn add_participant(&mut self, p: PartitionId) {
+        if let Err(i) = self.participants.binary_search(&p) {
+            self.participants.insert(i, p);
+        }
+    }
+}
+
+/// Length of the leading run of `items` (sorted by partition) that lies on
+/// partition `part`.
+pub(crate) fn leading_group<T>(items: &[(PartitionId, T)], part: PartitionId) -> usize {
+    items.iter().take_while(|(p, _)| *p == part).count()
 }
 
 /// The set of ops the wave stage may issue: the outer region for
@@ -376,6 +452,8 @@ fn check_guards(coord: &mut Coord) {
 
 /// Issue every in-scope op whose key is resolvable, batched per partition;
 /// the message content comes from the strategy's wave-dispatch hook.
+/// Messages go out in ascending partition order, each carrying its ops in
+/// procedure order (a stable sort of the wave's `(partition, op)` pairs).
 /// Returns the number of messages sent.
 fn issue_wave(
     eng: &mut EngineActor,
@@ -383,7 +461,8 @@ fn issue_wave(
     txn: TxnId,
     coord: &mut Coord,
 ) -> usize {
-    let mut per_partition: BTreeMap<PartitionId, Vec<OpId>> = BTreeMap::new();
+    let mut wave = std::mem::take(&mut coord.wave);
+    wave.clear();
     for i in 0..coord.proc.num_ops() {
         let id = OpId(i as u16);
         if coord.ops[i].issued || !in_scope(coord, id) {
@@ -398,18 +477,21 @@ fn issue_wave(
         coord.ops[i].issued = true;
         coord.ops[i].record = Some(rid);
         coord.ops[i].partition = Some(part);
-        coord.participants.insert(part);
-        per_partition.entry(part).or_default().push(id);
+        coord.add_participant(part);
+        wave.push((part, id));
         ctx.use_cpu(eng.op_cpu());
     }
-    let n = per_partition.len();
+    wave.sort_by_key(|&(p, _)| p);
     let strategy = eng.strategy;
-    for (part, op_ids) in per_partition {
-        let target = NodeId(part.0);
+    let mut sent = 0;
+    for group in wave.chunk_by(|a, b| a.0 == b.0) {
+        let target = NodeId(group[0].0 .0);
         coord.next_req += 1;
         let req = coord.next_req;
-        coord.inflight.insert(req, op_ids.clone());
-        let msg = strategy.wave_message(coord, txn, req, &op_ids);
+        for &(_, id) in group {
+            coord.ops[id.idx()].req = req;
+        }
+        let msg = strategy.wave_message(coord, txn, req, group);
         let verb = msg.verb();
         if target != eng.node && eng.tracer.full() {
             let label = msg.kind_label();
@@ -425,8 +507,10 @@ fn issue_wave(
         }
         ctx.send(target, verb, msg);
         coord.pending += 1;
+        sent += 1;
     }
-    n
+    coord.wave = wave;
+    sent
 }
 
 /// Log this attempt's commit decision — the full buffered outer write-set,
@@ -457,7 +541,7 @@ pub(crate) fn log_decide(
         .collect();
     eng.wal_append(chiller_storage::wal::WalRecord::Decide {
         txn,
-        proc: eng.proc_name(&coord.input).to_owned(),
+        proc: coord.proc.name.to_owned(),
         pending_inner,
         writes,
     });
@@ -470,7 +554,7 @@ pub(crate) fn finish_commit(
     txn: TxnId,
     coord: &mut Coord,
 ) {
-    let name = eng.proc_name(&coord.input);
+    let name = coord.proc.name;
     let distributed = coord.participants.len() > 1;
     let stats = eng.metrics.type_stats(name);
     stats.commits += 1;
@@ -545,11 +629,12 @@ pub(crate) fn abort_attempt(
     txn: TxnId,
     coord: &mut Coord,
 ) {
-    let mut unlocks_by_part: BTreeMap<PartitionId, Vec<RecordId>> = BTreeMap::new();
-    for (p, rid) in coord.held_locks.drain(..) {
-        unlocks_by_part.entry(p).or_default().push(rid);
-    }
-    for (part, unlocks) in unlocks_by_part {
+    // One release per partition, ascending; a stable sort keeps each
+    // partition's records in acquisition order.
+    coord.held_locks.sort_by_key(|&(p, _)| p);
+    while let Some(&(part, _)) = coord.held_locks.first() {
+        let n = leading_group(&coord.held_locks, part);
+        let unlocks = coord.held_locks.drain(..n).map(|(_, rid)| rid).collect();
         ctx.send(
             NodeId(part.0),
             Verb::OneSided,
@@ -557,7 +642,7 @@ pub(crate) fn abort_attempt(
         );
     }
     let kind = coord.failed.expect("abort without failure");
-    let name = eng.proc_name(&coord.input);
+    let name = coord.proc.name;
     let slot = coord.slot;
     coord.phase = Phase::Done;
     if coord.traced {
@@ -585,13 +670,7 @@ pub(crate) fn abort_attempt(
             if coord.attempts >= eng.config.engine.max_retries {
                 eng.schedule_fresh_start(ctx, slot);
             } else {
-                let input = std::mem::replace(
-                    &mut coord.input,
-                    TxnInput {
-                        proc: 0,
-                        params: Vec::new(),
-                    },
-                );
+                let input = coord.take_input();
                 let backoff =
                     eng.schedule_retry(ctx, slot, input, coord.attempts, coord.first_start);
                 if coord.traced {

@@ -16,7 +16,6 @@ use chiller_common::metrics::AbortReason;
 use chiller_common::value::Row;
 use chiller_simnet::{Ctx, Verb};
 use chiller_sproc::op::OpKind;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
 /// Strategy singleton for [`Protocol::Occ`].
@@ -27,13 +26,19 @@ impl CoordinatorProtocol for OccCoordinator {
         Protocol::Occ
     }
 
-    fn wave_message(&self, coord: &Coord, txn: TxnId, req: u64, ops: &[OpId]) -> Msg {
+    fn wave_message(
+        &self,
+        coord: &Coord,
+        txn: TxnId,
+        req: u64,
+        ops: &[(PartitionId, OpId)],
+    ) -> Msg {
         Msg::OccRead {
             txn,
             req,
             items: ops
                 .iter()
-                .map(|&id| {
+                .map(|&(_, id)| {
                     let op = coord.proc.op(id);
                     OccReadItem {
                         op: id,
@@ -67,8 +72,8 @@ impl CoordinatorProtocol for OccCoordinator {
         msg: Msg,
     ) {
         match msg {
-            Msg::OccReadResp { req, rows, .. } => {
-                absorb_occ_read_resp(eng, ctx, coord, req, rows);
+            Msg::OccReadResp { rows, .. } => {
+                absorb_occ_read_resp(eng, ctx, coord, rows);
                 drive(eng, ctx, txn, coord);
             }
             Msg::OccValidateResp { ok, .. } => {
@@ -102,12 +107,10 @@ fn absorb_occ_read_resp(
     eng: &mut EngineActor,
     ctx: &mut Ctx<'_, Msg>,
     coord: &mut Coord,
-    req: u64,
     rows: Vec<(OpId, Option<Row>, u64)>,
 ) {
     coord.pending -= 1;
     ctx.use_cpu(eng.op_cpu());
-    coord.inflight.remove(&req);
     let proc = Arc::clone(&coord.proc);
     for (op_id, row, version) in rows {
         let st = &mut coord.ops[op_id.idx()];
@@ -136,31 +139,49 @@ fn absorb_occ_read_resp(
     }
 }
 
-/// Parallel validation round: per touched partition, latch the write set
-/// and check read versions.
+/// Collect the write-set's records into `coord.write_rids`, ascending and
+/// distinct, for membership tests by binary search.
+fn collect_write_rids(coord: &mut Coord) {
+    coord.write_rids.clear();
+    coord
+        .write_rids
+        .extend(coord.writes.iter().map(|(_, w)| w.record));
+    coord.write_rids.sort_unstable();
+    coord.write_rids.dedup();
+}
+
+/// Parallel validation round: per touched partition (ascending), latch the
+/// write set and check read versions. Each partition's items follow
+/// procedure order, one per distinct record.
 fn send_validate(eng: &mut EngineActor, ctx: &mut Ctx<'_, Msg>, txn: TxnId, coord: &mut Coord) {
     ctx.use_cpu(eng.txn_cpu());
     coord.phase = Phase::Validating;
     coord.pending = 0;
     coord.validated_ok.clear();
-    let write_set: HashSet<RecordId> = coord.writes.iter().map(|(_, w)| w.record).collect();
-    let mut items_by_part: BTreeMap<PartitionId, Vec<ValidateItem>> = BTreeMap::new();
-    for st in &coord.ops {
-        let (Some(rid), Some(part)) = (st.record, st.partition) else {
-            continue;
+    collect_write_rids(coord);
+    for pi in 0..coord.participants.len() {
+        let part = coord.participants[pi];
+        let on_part = || {
+            coord
+                .ops
+                .iter()
+                .filter(move |st| st.partition == Some(part))
+                .filter_map(|st| st.record.map(|rid| (rid, st.version)))
         };
-        let entry = items_by_part.entry(part).or_default();
-        if let Some(existing) = entry.iter_mut().find(|it| it.record == rid) {
-            existing.is_write |= write_set.contains(&rid);
+        let mut items: Vec<ValidateItem> = Vec::with_capacity(on_part().count());
+        for (rid, version) in on_part() {
+            if items.iter().any(|it| it.record == rid) {
+                continue;
+            }
+            items.push(ValidateItem {
+                record: rid,
+                version,
+                is_write: coord.write_rids.binary_search(&rid).is_ok(),
+            });
+        }
+        if items.is_empty() {
             continue;
         }
-        entry.push(ValidateItem {
-            record: rid,
-            version: st.version,
-            is_write: write_set.contains(&rid),
-        });
-    }
-    for (part, items) in items_by_part {
         let target = NodeId(part.0);
         if target != eng.node && eng.tracer.full() {
             eng.tracer.record(
@@ -228,32 +249,47 @@ fn occ_decide(
         // Commit point: log the decision before shipping writes/latch
         // releases, mirroring the lock-based commit path.
         super::log_decide(eng, txn, coord, None);
+        // Group by partition; the stable sort keeps each partition's
+        // writes in buffered order.
+        coord.writes.sort_by_key(|(p, _)| *p);
     }
-    let write_set: HashSet<RecordId> = coord.writes.iter().map(|(_, w)| w.record).collect();
-    let mut writes_by_part: BTreeMap<PartitionId, Vec<_>> = BTreeMap::new();
-    for (p, w) in &coord.writes {
-        writes_by_part.entry(*p).or_default().push(w.clone());
-    }
-    let targets: Vec<PartitionId> = if commit {
-        coord.participants.iter().copied().collect()
+    collect_write_rids(coord);
+    // Commit: every participant, ascending. Abort: the partitions holding
+    // latches, in the order they validated.
+    let targets = if commit {
+        coord.participants.len()
     } else {
-        coord.validated_ok.clone()
+        coord.validated_ok.len()
     };
-    for part in targets {
-        let writes = if commit {
-            writes_by_part.remove(&part).unwrap_or_default()
+    for ti in 0..targets {
+        let part = if commit {
+            coord.participants[ti]
         } else {
-            Vec::new()
+            coord.validated_ok[ti]
         };
-        let latched: Vec<RecordId> = coord
+        let writes: Arc<[crate::msg::WriteItem]> = if commit {
+            let start = coord.writes.partition_point(|(p, _)| *p < part);
+            let end = coord.writes.partition_point(|(p, _)| *p <= part);
+            if start == end {
+                Arc::default()
+            } else {
+                coord.writes[start..end]
+                    .iter()
+                    .map(|(_, w)| w.clone())
+                    .collect()
+            }
+        } else {
+            Arc::default()
+        };
+        let mut latched: Vec<RecordId> = coord
             .ops
             .iter()
             .filter(|st| st.partition == Some(part))
             .filter_map(|st| st.record)
-            .filter(|r| write_set.contains(r))
-            .collect::<BTreeSet<_>>()
-            .into_iter()
+            .filter(|r| coord.write_rids.binary_search(r).is_ok())
             .collect();
+        latched.sort_unstable();
+        latched.dedup();
         if commit && !writes.is_empty() {
             for replica in eng.replica_nodes(part) {
                 ctx.send(
@@ -262,7 +298,7 @@ fn occ_decide(
                     Msg::Replicate {
                         txn,
                         partition: part,
-                        writes: writes.clone(),
+                        writes: Arc::clone(&writes),
                         ack_coordinator: true,
                     },
                 );

@@ -11,7 +11,7 @@ use super::{drive, lock_based, Coord, CoordinatorProtocol};
 use crate::engine::EngineActor;
 use crate::msg::Msg;
 use crate::protocol::Protocol;
-use chiller_common::ids::{NodeId, OpId, TxnId};
+use chiller_common::ids::{NodeId, OpId, PartitionId, TxnId};
 use chiller_simnet::Ctx;
 
 /// Strategy singleton for [`Protocol::TwoPhaseLocking`].
@@ -22,7 +22,13 @@ impl CoordinatorProtocol for TwoPlCoordinator {
         Protocol::TwoPhaseLocking
     }
 
-    fn wave_message(&self, coord: &Coord, txn: TxnId, req: u64, ops: &[OpId]) -> Msg {
+    fn wave_message(
+        &self,
+        coord: &Coord,
+        txn: TxnId,
+        req: u64,
+        ops: &[(PartitionId, OpId)],
+    ) -> Msg {
         lock_based::lock_read_message(coord, txn, req, ops)
     }
 

@@ -31,6 +31,7 @@ use crate::protocol::Protocol;
 use chiller_adaptive::monitor::{ContentionMonitor, EpochSummary};
 use chiller_adaptive::Directory;
 use chiller_common::config::SimConfig;
+use chiller_common::hash::{IntMap, IntSet};
 use chiller_common::ids::{NodeId, PartitionId, RecordId, TxnId};
 use chiller_common::metrics::MetricSet;
 use chiller_common::rng::{derive_seed, seeded};
@@ -38,12 +39,10 @@ use chiller_common::time::{Duration, SimTime};
 use chiller_common::value::Row;
 use chiller_obs::{EventKind, HistoryRecorder, Tracer};
 use chiller_simnet::{Actor, Ctx, Verb};
-use chiller_sproc::ExecState;
 use chiller_storage::placement::Placement;
-use chiller_storage::store::PartitionStore;
+use chiller_storage::store::{PartitionStore, ReplicaStore};
 use chiller_storage::wal::{Wal, WalRecord, WalStats};
 use rand::rngs::StdRng;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 const TOKEN_START: u64 = 1 << 32;
@@ -57,7 +56,7 @@ pub(crate) const TOKEN_MASK: u64 = (1 << 32) - 1;
 /// epoch boundaries.
 #[derive(Clone)]
 pub enum HotSet {
-    Static(Arc<HashSet<RecordId>>),
+    Static(Arc<IntSet<RecordId>>),
     Adaptive(Arc<Directory>),
 }
 
@@ -89,7 +88,7 @@ pub struct EngineParams {
     pub placement: Arc<dyn Placement + Send + Sync>,
     pub hot: HotSet,
     pub store: PartitionStore,
-    pub replicas: HashMap<PartitionId, PartitionStore>,
+    pub replicas: IntMap<PartitionId, ReplicaStore>,
     pub source: Box<dyn InputSource>,
     /// Present when the cluster runs with online adaptation.
     pub monitor: Option<ContentionMonitor>,
@@ -155,13 +154,16 @@ pub struct EngineActor {
     pub(crate) placement: Arc<dyn Placement + Send + Sync>,
     pub(crate) hot: HotSet,
     pub(crate) store: PartitionStore,
-    pub(crate) replicas: HashMap<PartitionId, PartitionStore>,
+    pub(crate) replicas: IntMap<PartitionId, ReplicaStore>,
     source: Box<dyn InputSource>,
     pub(crate) rng: StdRng,
     pub(crate) txn_seq: u64,
-    pub(crate) txns: HashMap<TxnId, Coord>,
+    pub(crate) txns: IntMap<TxnId, Coord>,
+    /// Retired coordinator state per slot, kept so the slot's next
+    /// attempt reuses its buffers instead of allocating fresh ones.
+    spare: Vec<Option<Coord>>,
     /// Inputs waiting for their retry backoff, per slot.
-    retries: HashMap<usize, (TxnInput, u32, SimTime)>,
+    retries: IntMap<usize, (TxnInput, u32, SimTime)>,
     /// When false, slots finishing their transaction do not pull new input
     /// (used to drain the cluster for invariant checks).
     pub(crate) accepting: bool,
@@ -173,15 +175,15 @@ pub struct EngineActor {
     /// Observation recorder (no-op unless the cluster enables checking).
     pub(crate) recorder: HistoryRecorder,
     /// In-flight migrations this engine coordinates (destination side).
-    pub(crate) migrations: HashMap<TxnId, Migration>,
+    pub(crate) migrations: IntMap<TxnId, Migration>,
     /// Migration jobs waiting out a NO_WAIT retry backoff.
-    pub(crate) mig_retries: HashMap<u64, MigrationJob>,
+    pub(crate) mig_retries: IntMap<u64, MigrationJob>,
     pub(crate) mig_seq: u64,
     /// Records this partition used to own that migrated elsewhere: a miss
     /// on one of these is a stale-routing race, answered as a retryable
     /// conflict so the coordinator re-resolves the placement. Bounded by
     /// the number of migrations out of this partition over the run.
-    pub(crate) migrated_out: HashSet<RecordId>,
+    pub(crate) migrated_out: IntSet<RecordId>,
     /// Initial rows deferred to `on_start` for first-touch locality
     /// (drained on the first start; see [`EngineParams::staged`]).
     staged: StagedRows,
@@ -192,6 +194,7 @@ pub struct EngineActor {
 impl EngineActor {
     pub fn new(params: EngineParams) -> Self {
         let seed = derive_seed(params.config.seed, 0xE26_0000 + params.node.0 as u64);
+        let concurrency = params.config.engine.concurrency;
         EngineActor {
             node: params.node,
             num_nodes: params.num_nodes,
@@ -205,17 +208,18 @@ impl EngineActor {
             source: params.source,
             rng: seeded(seed),
             txn_seq: params.txn_seq_start,
-            txns: HashMap::new(),
-            retries: HashMap::new(),
+            txns: IntMap::default(),
+            spare: (0..concurrency).map(|_| None).collect(),
+            retries: IntMap::default(),
             accepting: true,
             metrics: MetricSet::new(),
             monitor: params.monitor,
             tracer: params.tracer,
             recorder: params.recorder,
-            migrations: HashMap::new(),
-            mig_retries: HashMap::new(),
+            migrations: IntMap::default(),
+            mig_retries: IntMap::default(),
             mig_seq: 0,
-            migrated_out: HashSet::new(),
+            migrated_out: IntSet::default(),
             staged: params.staged,
             wal: params.wal,
         }
@@ -247,7 +251,7 @@ impl EngineActor {
         &self.store
     }
 
-    pub fn replica_store(&self, p: PartitionId) -> Option<&PartitionStore> {
+    pub fn replica_store(&self, p: PartitionId) -> Option<&ReplicaStore> {
         self.replicas.get(&p)
     }
 
@@ -340,20 +344,29 @@ impl EngineActor {
         Duration::from_nanos(self.config.engine.txn_overhead_cpu_ns)
     }
 
-    /// Nodes holding replicas of partition `p` (primary excluded).
-    pub(crate) fn replica_nodes(&self, p: PartitionId) -> Vec<NodeId> {
-        let r = self
-            .config
+    /// How many nodes hold replicas of each partition (primary excluded).
+    pub(crate) fn replica_count(&self) -> usize {
+        self.config
             .replication
             .replicas()
-            .min(self.num_nodes.saturating_sub(1));
-        (1..=r as u32)
-            .map(|i| NodeId((p.0 + i) % self.num_nodes as u32))
-            .collect()
+            .min(self.num_nodes.saturating_sub(1))
     }
 
-    pub(crate) fn proc_name(&self, input: &TxnInput) -> &'static str {
-        self.registry.get(input.proc).name
+    /// Nodes holding replicas of partition `p` (primary excluded).
+    pub(crate) fn replica_nodes(&self, p: PartitionId) -> impl ExactSizeIterator<Item = NodeId> {
+        let n = self.num_nodes as u32;
+        (1..self.replica_count() as u32 + 1).map(move |i| NodeId((p.0 + i) % n))
+    }
+
+    /// Take back a finished attempt's coordinator state: drop the rows it
+    /// still shares, keep its buffers for the slot's next attempt.
+    pub(crate) fn retire(&mut self, mut coord: Coord) {
+        coord.release_rows();
+        let slot = coord.slot;
+        if slot >= self.spare.len() {
+            self.spare.resize_with(slot + 1, || None);
+        }
+        self.spare[slot] = Some(coord);
     }
 
     // ------------------------------------------------------------------
@@ -425,23 +438,21 @@ impl EngineActor {
                 },
             );
         }
-        let proc = self.registry.get(input.proc).clone();
-        let exec = ExecState::new(input.params.clone(), proc.num_ops());
+        let proc = Arc::clone(self.registry.get(input.proc));
+        let mut coord = match self.spare.get_mut(slot).and_then(Option::take) {
+            Some(mut coord) => {
+                coord.reset(input, proc, prior_attempts, first_start, traced);
+                coord
+            }
+            None => Coord::new(slot, input, proc, prior_attempts, first_start, traced),
+        };
         let strategy = self.strategy;
-        let split = strategy.admission_split(self, &proc, &exec);
-        let mut coord = Coord::new(
-            slot,
-            input,
-            proc,
-            exec,
-            split,
-            prior_attempts,
-            first_start,
-            traced,
-        );
+        strategy.admission_split(self, &mut coord);
         coordinator::drive(self, ctx, txn, &mut coord);
         if coord.phase != Phase::Done {
             self.txns.insert(txn, coord);
+        } else {
+            self.retire(coord);
         }
     }
 }
@@ -559,6 +570,8 @@ impl Actor<Msg> for EngineActor {
                 strategy.on_response(self, ctx, src, txn, &mut coord, response);
                 if coord.phase != Phase::Done {
                     self.txns.insert(txn, coord);
+                } else {
+                    self.retire(coord);
                 }
             }
         }

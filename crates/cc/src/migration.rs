@@ -36,6 +36,7 @@ use chiller_common::value::Row;
 use chiller_simnet::{Ctx, Verb};
 use chiller_storage::lock::LockMode;
 use chiller_storage::wal::{RedoOp, RedoWrite, WalRecord};
+use std::sync::Arc;
 
 /// One migration work item (a `RecordMove` plus retry bookkeeping).
 #[derive(Debug, Clone, Copy)]
@@ -226,12 +227,16 @@ impl EngineActor {
         self.migrated_out.remove(&mig.job.record);
         let partition = self.store.partition;
         let replicas = self.replica_nodes(partition);
-        if replicas.is_empty() {
+        if replicas.len() == 0 {
             self.flip_and_finish(ctx, txn, mig);
             return;
         }
         mig.pending = replicas.len();
         mig.phase = MigPhase::Replicas;
+        let writes: Arc<[WriteItem]> = Arc::new([WriteItem {
+            record: mig.job.record,
+            kind: WriteKind::Insert(row.clone()),
+        }]);
         for replica in replicas {
             ctx.send(
                 replica,
@@ -239,10 +244,7 @@ impl EngineActor {
                 Msg::Replicate {
                     txn,
                     partition,
-                    writes: vec![WriteItem {
-                        record: mig.job.record,
-                        kind: WriteKind::Insert(row.clone()),
-                    }],
+                    writes: Arc::clone(&writes),
                     ack_coordinator: true,
                 },
             );
@@ -361,6 +363,10 @@ impl EngineActor {
         self.store.unlock(record, txn, ctx.now());
         self.migrated_out.insert(record);
         let partition = self.store.partition;
+        let writes: Arc<[WriteItem]> = Arc::new([WriteItem {
+            record,
+            kind: WriteKind::Delete,
+        }]);
         for replica in self.replica_nodes(partition) {
             ctx.send(
                 replica,
@@ -368,10 +374,7 @@ impl EngineActor {
                 Msg::Replicate {
                     txn,
                     partition,
-                    writes: vec![WriteItem {
-                        record,
-                        kind: WriteKind::Delete,
-                    }],
+                    writes: Arc::clone(&writes),
                     ack_coordinator: false,
                 },
             );

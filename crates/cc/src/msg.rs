@@ -7,6 +7,7 @@
 use chiller_common::ids::{OpId, PartitionId, RecordId, TxnId};
 use chiller_common::value::Row;
 use chiller_storage::lock::LockMode;
+use std::sync::Arc;
 
 /// One item of a combined lock+read request (2PL / Chiller outer region).
 #[derive(Debug, Clone)]
@@ -95,9 +96,10 @@ pub enum Msg {
         rows: Vec<(OpId, Row)>,
     },
     /// WRITE-back + unlock at commit (prepare piggybacked — Figure 3a).
+    /// `writes` is shared with the partition's `Replicate` messages.
     CommitOuter {
         txn: TxnId,
-        writes: Vec<WriteItem>,
+        writes: Arc<[WriteItem]>,
         unlocks: Vec<RecordId>,
     },
     CommitOuterAck {
@@ -141,10 +143,12 @@ pub enum Msg {
 
     // ---- Replication (§5) -------------------------------------------------
     /// Primary → replica: apply these writes for partition `partition`.
+    /// Every replica of one partition (and the primary's write-back)
+    /// shares one write-set.
     Replicate {
         txn: TxnId,
         partition: PartitionId,
-        writes: Vec<WriteItem>,
+        writes: Arc<[WriteItem]>,
         /// Inner-region replication must ack the coordinator (§5, Figure 6).
         ack_coordinator: bool,
     },
@@ -212,7 +216,7 @@ pub enum Msg {
     OccDecide {
         txn: TxnId,
         commit: bool,
-        writes: Vec<WriteItem>,
+        writes: Arc<[WriteItem]>,
         /// Latches taken by the validate round that must be dropped.
         latched: Vec<RecordId>,
     },
@@ -347,7 +351,7 @@ mod tests {
             Msg::Replicate {
                 txn: t,
                 partition: chiller_common::ids::PartitionId(0),
-                writes: vec![],
+                writes: Arc::default(),
                 ack_coordinator: false
             }
             .verb(),

@@ -14,6 +14,7 @@ use chiller_obs::{EventKind, HistoryEventKind};
 use chiller_simnet::Ctx;
 use chiller_storage::lock::LockMode;
 use chiller_storage::wal::{RedoWrite, WalRecord};
+use std::sync::Arc;
 
 impl EngineActor {
     /// Record a versioned read observation for the serializability checker
@@ -233,7 +234,7 @@ impl EngineActor {
         ctx: &mut Ctx<'_, Msg>,
         src: NodeId,
         txn: TxnId,
-        writes: Vec<WriteItem>,
+        writes: Arc<[WriteItem]>,
         unlocks: Vec<RecordId>,
     ) {
         let now = ctx.now();
@@ -270,7 +271,7 @@ impl EngineActor {
         ctx: &mut Ctx<'_, Msg>,
         txn: TxnId,
         partition: PartitionId,
-        writes: Vec<WriteItem>,
+        writes: Arc<[WriteItem]>,
         ack_coordinator: bool,
     ) {
         let cpu = chiller_common::time::Duration::from_nanos(
@@ -281,7 +282,7 @@ impl EngineActor {
             .replicas
             .get_mut(&partition)
             .unwrap_or_else(|| panic!("node has no replica of {partition}"));
-        for w in &writes {
+        for w in writes.iter() {
             match &w.kind {
                 WriteKind::Put(row) => store.write(w.record, row.clone()),
                 WriteKind::Insert(row) => store.write(w.record, row.clone()),
@@ -390,7 +391,7 @@ impl EngineActor {
         src: NodeId,
         txn: TxnId,
         commit: bool,
-        writes: Vec<WriteItem>,
+        writes: Arc<[WriteItem]>,
         latched: Vec<RecordId>,
     ) {
         let now = ctx.now();
@@ -567,7 +568,9 @@ impl EngineActor {
                 for rid in locked {
                     self.unlock_with_metrics(rid, txn, now);
                 }
-                if !writes.is_empty() {
+                if !writes.is_empty() && self.replica_count() > 0 {
+                    // One write-set shared by every replica's message.
+                    let writes: Arc<[WriteItem]> = writes.into();
                     let partition = self.store.partition;
                     for replica in self.replica_nodes(partition) {
                         ctx.send(
@@ -576,7 +579,7 @@ impl EngineActor {
                             Msg::Replicate {
                                 txn,
                                 partition,
-                                writes: writes.clone(),
+                                writes: Arc::clone(&writes),
                                 ack_coordinator: true,
                             },
                         );

@@ -11,6 +11,7 @@
 
 pub mod config;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod metrics;
 pub mod rng;

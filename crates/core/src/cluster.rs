@@ -9,6 +9,7 @@ use chiller_cc::Protocol;
 use chiller_checker::{CheckMode, CheckReport};
 use chiller_common::config::SimConfig;
 use chiller_common::error::{ChillerError, Result};
+use chiller_common::hash::{IntMap, IntSet};
 use chiller_common::ids::{NodeId, PartitionId, RecordId};
 use chiller_common::time::{Duration, SimTime};
 use chiller_common::value::Row;
@@ -20,9 +21,9 @@ use chiller_simnet::{
 use chiller_sproc::Procedure;
 use chiller_storage::placement::{HashPlacement, Placement};
 use chiller_storage::schema::Schema;
-use chiller_storage::store::PartitionStore;
+use chiller_storage::store::{PartitionStore, ReplicaStore};
 use chiller_storage::wal::{read_checkpoint, StoreSnapshot, Wal, WalRecord, DEFAULT_FSYNC_BATCH};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -79,7 +80,7 @@ pub struct ClusterBuilder {
     config: SimConfig,
     registry: ProcRegistry,
     placement: Option<Arc<dyn Placement + Send + Sync>>,
-    hot: HashSet<RecordId>,
+    hot: IntSet<RecordId>,
     records: Vec<(RecordId, Row)>,
     source_factory: Option<SourceFactory>,
     adaptive: Option<AdaptiveConfig>,
@@ -108,7 +109,7 @@ impl ClusterBuilder {
             config: SimConfig::default(),
             registry: ProcRegistry::new(),
             placement: None,
-            hot: HashSet::new(),
+            hot: IntSet::default(),
             records: Vec::new(),
             source_factory: None,
             adaptive: None,
@@ -351,12 +352,12 @@ impl ClusterBuilder {
             .replication
             .replicas()
             .min(self.nodes.saturating_sub(1));
-        let mut replicas: Vec<HashMap<PartitionId, PartitionStore>> = (0..self.nodes)
+        let mut replicas: Vec<IntMap<PartitionId, ReplicaStore>> = (0..self.nodes)
             .map(|n| {
                 (1..=replica_count)
                     .map(|i| {
                         let p = PartitionId(((n + self.nodes - i) % self.nodes) as u32);
-                        (p, PartitionStore::new(p, self.schema.clone()))
+                        (p, ReplicaStore::new_replica(p, self.schema.clone()))
                     })
                     .collect()
             })

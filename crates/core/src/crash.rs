@@ -53,7 +53,7 @@ use chiller_common::time::Duration;
 use chiller_common::value::Row;
 use chiller_obs::History;
 use chiller_storage::placement::Placement;
-use chiller_storage::store::PartitionStore;
+use chiller_storage::store::{PartitionStore, ReplicaStore};
 use chiller_storage::wal::{RedoOp, WalRecord};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -169,7 +169,7 @@ impl fmt::Display for RecoveryReport {
 /// argument.
 pub(crate) fn recover(
     primaries: &mut [PartitionStore],
-    replicas: &mut [HashMap<PartitionId, PartitionStore>],
+    replicas: &mut [chiller_common::hash::IntMap<PartitionId, ReplicaStore>],
     logs: &[Vec<WalRecord>],
     placement: &dyn Placement,
     report: &mut RecoveryReport,

@@ -56,10 +56,13 @@
 //!   a hashed [`TimerWheel`] plus a slab mapping wheel tokens to
 //!   `(engine, actor token)`. Expired entries are routed to the owning
 //!   engine's fire queue and the engine is notified; the engine fires
-//!   them at the start of its next run. Timer slop is therefore bounded
-//!   by park granularity plus queueing delay — this backend measures
-//!   scheduling scale, not timer fidelity (the threaded backend keeps
-//!   the spin-before-sleep precision story).
+//!   them at the start of its next run. A zero-delay timer (the engine
+//!   re-arming a slot after a commit) is already due, so it skips the
+//!   wheel, the shared fire queue and the notify: it goes on the engine's
+//!   own fire list and fires within the running turn. Timer slop is
+//!   therefore bounded by park granularity plus queueing delay — this
+//!   backend measures scheduling scale, not timer fidelity (the threaded
+//!   backend keeps the spin-before-sleep precision story).
 //! * **`CHILLER_WORKERS`** sizes the pool (see [`crate::sizing`]).
 //!
 //! Run phases, pauses, control-plane injection ([`Runtime::actors_mut`],
@@ -224,6 +227,10 @@ struct EngineState<M> {
     /// Self-sends: exactly one producer and one consumer (whichever
     /// worker currently runs this engine), so a plain queue suffices.
     local: VecDeque<Envelope<M>>,
+    /// Zero-delay timers this engine armed for itself, as `(armed at ns,
+    /// token)`: already due, so they bypass the worker wheel and the
+    /// shared fire queue and fire in the engine's current (or next) turn.
+    due_now: VecDeque<(u64, u64)>,
     /// Spawns (sends + armed timers) minus retirements not yet published
     /// to `Shared::outstanding`.
     outstanding_delta: i64,
@@ -445,6 +452,7 @@ impl<M: Send, A: Actor<M> + Send> AsyncRuntime<M, A> {
                 inbox,
                 pending: VecDeque::new(),
                 local: VecDeque::new(),
+                due_now: VecDeque::new(),
                 outstanding_delta: 0,
                 started: false,
                 stats: NetStats::default(),
@@ -651,32 +659,42 @@ fn run_engine<M, A: Actor<M>>(
 
     let mut handled = 0u64;
 
-    // 1. Fire expired timer tokens routed here by the worker wheels.
-    //    Drained in bounded chunks so a timer storm cannot monopolize
-    //    the worker past the batch budget.
+    // 1. Fire timer tokens: zero-delay ones this engine armed itself,
+    //    then expired ones routed here by the worker wheels. Drained in
+    //    bounded chunks so a timer storm cannot monopolize the worker
+    //    past the batch budget.
     while handled < EVENT_BATCH as u64 {
-        let token = {
-            let mut q = shared.fires[e].lock().expect("fire queue lock");
-            match q.pop_front() {
-                Some(t) => t,
-                None => break,
+        let token = match st.due_now.pop_front() {
+            Some((armed, token)) => {
+                timers.slop.record(shared.now_ns().saturating_sub(armed));
+                token
+            }
+            None => {
+                let mut q = shared.fires[e].lock().expect("fire queue lock");
+                match q.pop_front() {
+                    Some(t) => t,
+                    None => break,
+                }
             }
         };
-        st.stats.timer_fires += 1;
-        st.stats.events_processed += 1;
         handled += 1;
-        let mut mb = AsyncMailbox { st, timers, shared };
-        let mut ctx = Ctx::from_mailbox(&mut mb);
-        actor.on_timer(&mut ctx, token);
+        fire_timer(actor, st, timers, shared, token);
     }
 
-    // 2. Drain messages: self-sends first (no synchronization), then the
-    //    shared inbox. `drained_dry` records whether we stopped because
-    //    the sources were empty (vs the batch budget) — the has_more
+    // 2. Drain messages: zero-delay timers armed by this turn's handlers
+    //    and self-sends first (no synchronization), then the shared
+    //    inbox. `drained_dry` records whether we stopped because the
+    //    sources were empty (vs the batch budget) — the has_more
     //    computation must not depend on peeking a channel.
     st.tel.ring_occupancy_hwm = st.tel.ring_occupancy_hwm.max(st.inbox.len() as u64);
     let mut drained_dry = false;
     while handled < EVENT_BATCH as u64 {
+        if let Some((armed, token)) = st.due_now.pop_front() {
+            timers.slop.record(shared.now_ns().saturating_sub(armed));
+            handled += 1;
+            fire_timer(actor, st, timers, shared, token);
+            continue;
+        }
         if let Some(env) = st.local.pop_front() {
             st.stats.events_processed += 1;
             handled += 1;
@@ -723,6 +741,7 @@ fn run_engine<M, A: Actor<M>>(
     //    that into a re-enqueue.
     let has_more = !drained_dry
         || !st.pending.is_empty()
+        || !st.due_now.is_empty()
         || !shared.fires[e].lock().expect("fire queue lock").is_empty();
     drop(guard);
     if shared.scheds[e].finish(has_more) {
@@ -731,6 +750,22 @@ fn run_engine<M, A: Actor<M>>(
         // siblings steal it if they idle first.
     }
     handled > 0 || delivered > 0
+}
+
+/// Deliver one timer token to the engine's actor.
+#[inline]
+fn fire_timer<M, A: Actor<M>>(
+    actor: &mut A,
+    st: &mut EngineState<M>,
+    timers: &mut WorkerTimers,
+    shared: &Shared<M>,
+    token: u64,
+) {
+    st.stats.timer_fires += 1;
+    st.stats.events_processed += 1;
+    let mut mb = AsyncMailbox { st, timers, shared };
+    let mut ctx = Ctx::from_mailbox(&mut mb);
+    actor.on_timer(&mut ctx, token);
 }
 
 /// The worker loop: expire own timers, run one ready engine, re-check
@@ -895,7 +930,7 @@ impl<M: Send, A: Actor<M> + Send> Runtime<M, A> for AsyncRuntime<M, A> {
         // stay parked until the engine's first turn next phase — which
         // the notify below guarantees happens.
         st.publish_outstanding(&self.shared);
-        if !st.pending.is_empty() || !st.local.is_empty() {
+        if !st.pending.is_empty() || !st.local.is_empty() || !st.due_now.is_empty() {
             self.shared.notify(e, None);
         }
     }
@@ -940,8 +975,16 @@ impl<M> Mailbox<M> for AsyncMailbox<'_, M> {
 
     fn set_timer(&mut self, d: Duration, token: u64) {
         self.st.outstanding_delta += 1;
-        let due = self.shared.now_ns().saturating_add(d.as_nanos());
-        self.timers.arm(due, self.st.node.idx(), token);
+        let now = self.shared.now_ns();
+        if d == Duration::ZERO {
+            // Already due: straight onto this engine's own fire list — no
+            // wheel insert, no shared fire-queue lock, no notify. The
+            // running turn fires it (has_more re-enqueues otherwise).
+            self.st.due_now.push_back((now, token));
+            return;
+        }
+        self.timers
+            .arm(now.saturating_add(d.as_nanos()), self.st.node.idx(), token);
     }
 
     fn set_timer_when_free(&mut self, d: Duration, token: u64) {

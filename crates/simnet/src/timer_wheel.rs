@@ -60,6 +60,9 @@ pub struct TimerWheel {
     seq: u64,
     /// Exact earliest due among armed entries (`u64::MAX` when empty).
     earliest: u64,
+    /// Scratch for [`Self::pop_expired`]'s expired batch (reused, so an
+    /// expiry allocates nothing once warm).
+    expired: Vec<Entry>,
 }
 
 impl Default for TimerWheel {
@@ -81,6 +84,7 @@ impl TimerWheel {
             len: 0,
             seq: 0,
             earliest: u64::MAX,
+            expired: Vec::new(),
         }
     }
 
@@ -137,7 +141,8 @@ impl TimerWheel {
         // every slot, so cap the walk there.
         let first = self.cursor.min(self.earliest / self.granularity_ns);
         let ticks = (target - first + 1).min(n_slots);
-        let mut expired: Vec<Entry> = Vec::new();
+        let mut expired = std::mem::take(&mut self.expired);
+        expired.clear();
         for t in first..first + ticks {
             let slot = (t % n_slots) as usize;
             let entries = &mut self.slots[slot];
@@ -154,6 +159,7 @@ impl TimerWheel {
         self.len -= expired.len();
         expired.sort_unstable_by_key(|e| (e.due, e.seq));
         out.extend(expired.iter().map(|e| (e.due, e.token)));
+        self.expired = expired;
         // Recompute the exact earliest bound over the survivors.
         self.earliest = self
             .slots

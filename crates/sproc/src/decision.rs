@@ -18,7 +18,6 @@
 
 use crate::op::Procedure;
 use chiller_common::ids::{OpId, PartitionId};
-use std::collections::HashMap;
 
 /// Where a guard predicate is evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +31,7 @@ pub enum GuardSite {
 }
 
 /// Result of the region decision for one transaction instance.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RegionSplit {
     /// `None` ⇒ run as a normal (single-region, 2PC) transaction.
     pub inner_host: Option<PartitionId>,
@@ -51,13 +50,34 @@ impl RegionSplit {
 
     /// A split that runs every op in the outer region (normal execution).
     pub fn all_outer(proc_: &Procedure) -> RegionSplit {
-        RegionSplit {
-            inner_host: None,
-            inner_ops: Vec::new(),
-            outer_ops: (0..proc_.ops.len() as u16).map(OpId).collect(),
-            guard_sites: vec![GuardSite::Outer; proc_.guards.len()],
-        }
+        let mut split = RegionSplit::default();
+        split.set_all_outer(proc_);
+        split
     }
+
+    /// Overwrite with [`Self::all_outer`], reusing this split's buffers.
+    pub fn set_all_outer(&mut self, proc_: &Procedure) {
+        self.inner_host = None;
+        self.inner_ops.clear();
+        self.outer_ops.clear();
+        self.outer_ops.extend((0..proc_.ops.len() as u16).map(OpId));
+        self.guard_sites.clear();
+        self.guard_sites
+            .resize(proc_.guards.len(), GuardSite::Outer);
+    }
+}
+
+/// Inputs and scratch of one region decision, kept by the caller so a
+/// decision per transaction attempt allocates nothing once warm.
+#[derive(Debug, Clone, Default)]
+pub struct DecisionScratch {
+    /// Partition of each op's record (see [`decide_regions`]); filled by
+    /// the caller.
+    pub op_partition: Vec<Option<PartitionId>>,
+    /// Hotness of each op's record; filled by the caller.
+    pub op_hot: Vec<bool>,
+    self_consistent: Vec<bool>,
+    hot_per_partition: Vec<(PartitionId, usize)>,
 }
 
 /// Decide the regions for one transaction instance.
@@ -70,18 +90,44 @@ pub fn decide_regions(
     op_partition: &[Option<PartitionId>],
     op_hot: &[bool],
 ) -> RegionSplit {
+    let mut scratch = DecisionScratch {
+        op_partition: op_partition.to_vec(),
+        op_hot: op_hot.to_vec(),
+        ..DecisionScratch::default()
+    };
+    let mut split = RegionSplit::default();
+    decide_regions_into(proc_, &mut scratch, &mut split);
+    split
+}
+
+/// [`decide_regions`] over the inputs in `scratch` (`op_partition`,
+/// `op_hot`), writing the decision into `split` and reusing both values'
+/// buffers.
+pub fn decide_regions_into(
+    proc_: &Procedure,
+    scratch: &mut DecisionScratch,
+    split: &mut RegionSplit,
+) {
     let n = proc_.ops.len();
+    let DecisionScratch {
+        op_partition,
+        op_hot,
+        self_consistent,
+        hot_per_partition,
+    } = scratch;
     debug_assert_eq!(op_partition.len(), n);
     debug_assert_eq!(op_hot.len(), n);
 
     if !op_hot.iter().any(|&h| h) {
-        return RegionSplit::all_outer(proc_);
+        split.set_all_outer(proc_);
+        return;
     }
 
     // legality[i] = true iff op i *and all its pk-descendants* live on
     // op i's own partition. Computed in reverse op order: validation
     // guarantees pk-children have higher indices than their parents.
-    let mut self_consistent = vec![false; n];
+    self_consistent.clear();
+    self_consistent.resize(n, false);
     for i in (0..n).rev() {
         let Some(p) = op_partition[i] else {
             continue; // unknown location can never be moved inner
@@ -92,59 +138,53 @@ pub fn decide_regions(
     }
 
     // Step 1: candidate hot records, grouped by their partition.
-    let mut hot_per_partition: HashMap<PartitionId, usize> = HashMap::new();
+    hot_per_partition.clear();
     for i in 0..n {
         if op_hot[i] && self_consistent[i] {
             let p = op_partition[i].expect("self_consistent implies known partition");
-            *hot_per_partition.entry(p).or_insert(0) += 1;
+            match hot_per_partition.iter_mut().find(|(q, _)| *q == p) {
+                Some((_, count)) => *count += 1,
+                None => hot_per_partition.push((p, 1)),
+            }
         }
     }
     if hot_per_partition.is_empty() {
         // Hot records exist but none is movable: run normally.
-        return RegionSplit::all_outer(proc_);
+        split.set_all_outer(proc_);
+        return;
     }
 
     // Step 2: inner host = candidate partition with the most hot records
     // (§3.3); ties broken by lowest partition id for determinism.
-    let inner_host = *hot_per_partition
+    let inner_host = hot_per_partition
         .iter()
-        .max_by_key(|(p, count)| (**count, std::cmp::Reverse(p.0)))
-        .map(|(p, _)| p)
+        .max_by_key(|(p, count)| (*count, std::cmp::Reverse(p.0)))
+        .map(|(p, _)| *p)
         .expect("non-empty");
 
     // Inner ops: every op on the inner host whose pk-descendant closure
     // stays on the inner host (Figure 5c: r-vertices in the t-vertex's
     // partition run in the inner region).
-    let mut inner_ops = Vec::new();
-    let mut outer_ops = Vec::new();
-    let mut is_inner = vec![false; n];
+    let is_inner = |i: usize| op_partition[i] == Some(inner_host) && self_consistent[i];
+    split.inner_host = Some(inner_host);
+    split.inner_ops.clear();
+    split.outer_ops.clear();
     for i in 0..n {
-        if op_partition[i] == Some(inner_host) && self_consistent[i] {
-            inner_ops.push(OpId(i as u16));
-            is_inner[i] = true;
+        if is_inner(i) {
+            split.inner_ops.push(OpId(i as u16));
         } else {
-            outer_ops.push(OpId(i as u16));
+            split.outer_ops.push(OpId(i as u16));
         }
     }
 
-    let guard_sites = proc_
-        .guards
-        .iter()
-        .map(|g| {
-            if g.deps.iter().any(|d| is_inner[d.idx()]) {
-                GuardSite::Inner
-            } else {
-                GuardSite::Outer
-            }
-        })
-        .collect();
-
-    RegionSplit {
-        inner_host: Some(inner_host),
-        inner_ops,
-        outer_ops,
-        guard_sites,
-    }
+    split.guard_sites.clear();
+    split.guard_sites.extend(proc_.guards.iter().map(|g| {
+        if g.deps.iter().any(|d| is_inner(d.idx())) {
+            GuardSite::Inner
+        } else {
+            GuardSite::Outer
+        }
+    }));
 }
 
 #[cfg(test)]

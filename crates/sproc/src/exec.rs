@@ -23,6 +23,26 @@ impl ExecState {
         }
     }
 
+    /// Re-arm for a new transaction instance, keeping the output buffer's
+    /// capacity (an engine slot reuses one state across its attempts).
+    pub fn reset(&mut self, params: Vec<Value>, num_ops: usize) {
+        self.params = params;
+        self.outputs.clear();
+        self.outputs.resize(num_ops, None);
+    }
+
+    /// Drop every output (and the rows they share) without freeing the
+    /// buffer.
+    pub fn clear_outputs(&mut self) {
+        self.outputs.clear();
+    }
+
+    /// Hand the parameters back — a retry re-submits the same input —
+    /// leaving this state without any.
+    pub fn take_params(&mut self) -> Vec<Value> {
+        std::mem::take(&mut self.params)
+    }
+
     pub fn params(&self) -> &[Value] {
         &self.params
     }
@@ -105,6 +125,18 @@ mod tests {
     fn missing_output_panics_on_req() {
         let st = ExecState::new(vec![], 1);
         st.output_req(OpId(0));
+    }
+
+    #[test]
+    fn reset_rearms_for_a_new_instance() {
+        let mut st = ExecState::new(vec![Value::I64(1)], 2);
+        st.set_output(OpId(1), Row::from([Value::I64(9)]));
+        assert_eq!(st.take_params(), vec![Value::I64(1)]);
+        assert!(st.params().is_empty());
+        st.reset(vec![Value::I64(5)], 3);
+        assert_eq!(st.param_i64(0), 5);
+        assert_eq!(st.num_ops(), 3);
+        assert!((0..3).all(|i| st.output(OpId(i)).is_none()));
     }
 
     #[test]

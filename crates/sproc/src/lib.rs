@@ -28,7 +28,7 @@ pub mod graph;
 pub mod op;
 
 pub use builder::ProcedureBuilder;
-pub use decision::{decide_regions, RegionSplit};
+pub use decision::{decide_regions, decide_regions_into, DecisionScratch, RegionSplit};
 pub use exec::ExecState;
 pub use graph::DepGraph;
 pub use op::{Guard, KeyExpr, Op, OpKind, Procedure};

@@ -8,6 +8,11 @@
 //! Each bucket carries a monotonically increasing **version** that is bumped
 //! by every committed write to any of its records; the OCC engine validates
 //! against it.
+//!
+//! A primary partition's bucket is [`Records`] plus that concurrency-control
+//! header (lock word and version). A replica copy is never locked or
+//! validated, so its buckets are the bare [`Records`]; both plug into the
+//! same store code through [`StoreBucket`].
 
 use crate::lock::LockState;
 use chiller_common::value::Row;
@@ -28,15 +33,240 @@ struct Slot {
     version: u64,
 }
 
-/// A bucket: a small set of records sharing one lock word and version.
+/// A live record held inline by a one-record bucket.
+#[derive(Debug, Clone)]
+struct Live {
+    key: u64,
+    row: Row,
+    /// The record's write counter (see [`Slot::version`]).
+    version: u64,
+}
+
+/// The layouts of [`Records`]. `Live`'s row cannot be absent, which leaves
+/// its pointer's null value free to tell the variants apart: the enum is
+/// no larger than `Live` itself.
+#[derive(Debug, Clone)]
+enum Slots {
+    One(Live),
+    /// Zero or several slots, key-sorted (empty buckets hold an empty,
+    /// unallocated vector).
+    Many(Vec<Slot>),
+}
+
+impl Default for Slots {
+    fn default() -> Self {
+        Slots::Many(Vec::new())
+    }
+}
+
+/// Index of `key`'s slot in the sorted `slots`, inserting an unwritten
+/// tombstone if absent.
+fn slot_index(slots: &mut Vec<Slot>, key: u64) -> usize {
+    match slots.binary_search_by_key(&key, |s| s.key) {
+        Ok(i) => i,
+        Err(i) => {
+            slots.insert(
+                i,
+                Slot {
+                    key,
+                    row: None,
+                    version: 0,
+                },
+            );
+            i
+        }
+    }
+}
+
+/// A bucket's records in key order — live rows and tombstones alike — each
+/// with its per-record write counter.
 ///
-/// Records live in one key-sorted slot vector — live rows and tombstones
-/// alike — so a one-record bucket (the default `records_per_bucket`) costs
-/// a single one-slot allocation.
+/// Most buckets hold exactly one live record (the default
+/// `records_per_bucket`), so it lives inline: no allocation and no pointer
+/// to chase on access. The key-sorted slot vector appears only for a
+/// second key or a tombstone.
+#[derive(Debug, Clone, Default)]
+pub struct Records(Slots);
+
+impl Records {
+    /// The slot vector, spilling an inline record into it first.
+    fn many_mut(&mut self) -> &mut Vec<Slot> {
+        if let Slots::One(_) = self.0 {
+            let Slots::One(live) = std::mem::take(&mut self.0) else {
+                unreachable!("matched the inline variant")
+            };
+            let mut v = Vec::with_capacity(2);
+            v.push(Slot {
+                key: live.key,
+                row: Some(live.row),
+                version: live.version,
+            });
+            self.0 = Slots::Many(v);
+        }
+        match &mut self.0 {
+            Slots::Many(v) => v,
+            Slots::One(_) => unreachable!("spilled above"),
+        }
+    }
+
+    /// The per-record write counter of `key`: 0 if never written, otherwise
+    /// the number of committed writes (including deletes) it has absorbed.
+    pub fn record_version(&self, key: u64) -> u64 {
+        match &self.0 {
+            Slots::One(live) => {
+                if live.key == key {
+                    live.version
+                } else {
+                    0
+                }
+            }
+            Slots::Many(v) => v
+                .binary_search_by_key(&key, |s| s.key)
+                .map_or(0, |i| v[i].version),
+        }
+    }
+
+    /// Force `key`'s write counter to `v` (migration carry-over: the
+    /// destination continues the source's version chain so one record never
+    /// installs the same version twice across partitions).
+    pub fn set_record_version(&mut self, key: u64, v: u64) {
+        if let Slots::One(live) = &mut self.0 {
+            if live.key == key {
+                live.version = v;
+                return;
+            }
+        }
+        let slots = self.many_mut();
+        let i = slot_index(slots, key);
+        slots[i].version = v;
+    }
+
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Slots::One(_) => 1,
+            Slots::Many(v) => v.iter().filter(|s| s.row.is_some()).count(),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    pub fn get(&self, key: u64) -> Option<&Row> {
+        match &self.0 {
+            Slots::One(live) => (live.key == key).then_some(&live.row),
+            Slots::Many(v) => v
+                .binary_search_by_key(&key, |s| s.key)
+                .ok()
+                .and_then(|i| v[i].row.as_ref()),
+        }
+    }
+
+    pub fn contains(&self, key: u64) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// Overwrite (or create) a record, bumping its write counter.
+    pub fn put(&mut self, key: u64, row: Row) {
+        match &mut self.0 {
+            Slots::One(live) if live.key == key => {
+                live.row = row;
+                live.version += 1;
+                return;
+            }
+            Slots::Many(v) if v.is_empty() => {
+                self.0 = Slots::One(Live {
+                    key,
+                    row,
+                    version: 1,
+                });
+                return;
+            }
+            // The only slot is this key's tombstone: the record comes back
+            // inline and the vector is freed.
+            Slots::Many(v) if v.len() == 1 && v[0].key == key => {
+                let version = v[0].version + 1;
+                self.0 = Slots::One(Live { key, row, version });
+                return;
+            }
+            _ => {}
+        }
+        let slots = self.many_mut();
+        let i = slot_index(slots, key);
+        slots[i].row = Some(row);
+        slots[i].version += 1;
+    }
+
+    /// Insert a new record; returns `false` if the key already exists.
+    pub fn insert_new(&mut self, key: u64, row: Row) -> bool {
+        if self.contains(key) {
+            return false;
+        }
+        self.put(key, row);
+        true
+    }
+
+    /// Remove a record; returns the old row if present. The key stays
+    /// behind as a tombstone with its counter bumped (a delete is itself a
+    /// versioned write).
+    pub fn remove(&mut self, key: u64) -> Option<Row> {
+        match &mut self.0 {
+            Slots::One(live) if live.key == key => {
+                let tombstone = Slot {
+                    key,
+                    row: None,
+                    version: live.version + 1,
+                };
+                let Slots::One(live) = std::mem::replace(&mut self.0, Slots::Many(vec![tombstone]))
+                else {
+                    unreachable!("matched the inline variant")
+                };
+                Some(live.row)
+            }
+            Slots::One(_) => None,
+            Slots::Many(v) => {
+                let i = v.binary_search_by_key(&key, |s| s.key).ok()?;
+                let old = v[i].row.take()?;
+                v[i].version += 1;
+                Some(old)
+            }
+        }
+    }
+
+    /// The inline record, or the slot vector.
+    fn parts(&self) -> (Option<&Live>, &[Slot]) {
+        match &self.0 {
+            Slots::One(live) => (Some(live), &[]),
+            Slots::Many(v) => (None, v),
+        }
+    }
+
+    /// Iterate records in key order (used by range scans like TPC-C's
+    /// StockLevel and Delivery).
+    pub fn iter(&self) -> impl Iterator<Item = (&u64, &Row)> {
+        let (one, many) = self.parts();
+        one.map(|l| (&l.key, &l.row)).into_iter().chain(
+            many.iter()
+                .filter_map(|s| s.row.as_ref().map(|r| (&s.key, r))),
+        )
+    }
+
+    /// Iterate the complete per-record version map in key order —
+    /// tombstones included (a key deleted by a committed write keeps its
+    /// counter here). Checkpoints capture this so version chains survive
+    /// recovery across delete + re-insert.
+    pub fn versions(&self) -> impl Iterator<Item = (&u64, &u64)> {
+        let (one, many) = self.parts();
+        one.map(|l| (&l.key, &l.version))
+            .into_iter()
+            .chain(many.iter().map(|s| (&s.key, &s.version)))
+    }
+}
+
+/// A bucket: a small set of records sharing one lock word and version.
 #[derive(Debug, Clone, Default)]
 pub struct Bucket {
-    /// Slots sorted by primary key (within this bucket).
-    slots: Vec<Slot>,
+    records: Records,
     /// Embedded lock word, manipulable via simulated one-sided atomics.
     pub lock: LockState,
     /// Bumped on every committed write/insert/delete.
@@ -52,71 +282,35 @@ impl Bucket {
         self.version
     }
 
-    fn find(&self, key: u64) -> Result<usize, usize> {
-        self.slots.binary_search_by_key(&key, |s| s.key)
-    }
-
-    fn slot(&self, key: u64) -> Option<&Slot> {
-        self.find(key).ok().map(|i| &self.slots[i])
-    }
-
-    /// The slot of `key`, created as an unwritten tombstone if absent.
-    fn slot_mut(&mut self, key: u64) -> &mut Slot {
-        let i = match self.find(key) {
-            Ok(i) => i,
-            Err(i) => {
-                if self.slots.is_empty() {
-                    // Most buckets hold exactly one record: size for it.
-                    self.slots.reserve_exact(1);
-                }
-                self.slots.insert(
-                    i,
-                    Slot {
-                        key,
-                        row: None,
-                        version: 0,
-                    },
-                );
-                i
-            }
-        };
-        &mut self.slots[i]
-    }
-
-    /// The per-record write counter of `key`: 0 if never written, otherwise
-    /// the number of committed writes (including deletes) it has absorbed.
+    /// See [`Records::record_version`].
     pub fn record_version(&self, key: u64) -> u64 {
-        self.slot(key).map_or(0, |s| s.version)
+        self.records.record_version(key)
     }
 
-    /// Force `key`'s write counter to `v` (migration carry-over: the
-    /// destination continues the source's version chain so one record never
-    /// installs the same version twice across partitions).
+    /// See [`Records::set_record_version`].
     pub fn set_record_version(&mut self, key: u64, v: u64) {
-        self.slot_mut(key).version = v;
+        self.records.set_record_version(key, v);
     }
 
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.row.is_some()).count()
+        self.records.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(|s| s.row.is_none())
+        self.records.is_empty()
     }
 
     pub fn get(&self, key: u64) -> Option<&Row> {
-        self.slot(key).and_then(|s| s.row.as_ref())
+        self.records.get(key)
     }
 
     pub fn contains(&self, key: u64) -> bool {
-        self.get(key).is_some()
+        self.records.contains(key)
     }
 
     /// Overwrite (or create) a record and bump the version.
     pub fn put(&mut self, key: u64, row: Row) {
-        let slot = self.slot_mut(key);
-        slot.row = Some(row);
-        slot.version += 1;
+        self.records.put(key, row);
         self.version += 1;
     }
 
@@ -132,28 +326,19 @@ impl Bucket {
 
     /// Remove a record; returns the old row if present, bumping the version.
     pub fn remove(&mut self, key: u64) -> Option<Row> {
-        let i = self.find(key).ok()?;
-        let slot = &mut self.slots[i];
-        let old = slot.row.take()?;
-        slot.version += 1;
+        let old = self.records.remove(key)?;
         self.version += 1;
         Some(old)
     }
 
-    /// Iterate records in key order (used by range scans like TPC-C's
-    /// StockLevel and Delivery).
+    /// See [`Records::iter`].
     pub fn iter(&self) -> impl Iterator<Item = (&u64, &Row)> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.row.as_ref().map(|r| (&s.key, r)))
+        self.records.iter()
     }
 
-    /// Iterate the complete per-record version map in key order —
-    /// tombstones included (a key deleted by a committed write keeps its
-    /// counter here). Checkpoints capture this so version chains survive
-    /// recovery across delete + re-insert.
+    /// See [`Records::versions`].
     pub fn versions(&self) -> impl Iterator<Item = (&u64, &u64)> {
-        self.slots.iter().map(|s| (&s.key, &s.version))
+        self.records.versions()
     }
 
     /// Approximate memory footprint of the bucket's records in bytes.
@@ -164,6 +349,54 @@ impl Bucket {
     }
 }
 
+/// What a partition store needs of its bucket type: read access to its
+/// [`Records`], and the record mutations — which [`Bucket`] also counts in
+/// its OCC version. [`Bucket`] serves primary copies (lock word + version
+/// on top of the records); [`Records`] alone serves replica copies.
+pub trait StoreBucket: Default {
+    fn records(&self) -> &Records;
+    fn put(&mut self, key: u64, row: Row);
+    fn insert_new(&mut self, key: u64, row: Row) -> bool;
+    fn remove(&mut self, key: u64) -> Option<Row>;
+    fn set_record_version(&mut self, key: u64, v: u64);
+}
+
+impl StoreBucket for Records {
+    fn records(&self) -> &Records {
+        self
+    }
+    fn put(&mut self, key: u64, row: Row) {
+        Records::put(self, key, row);
+    }
+    fn insert_new(&mut self, key: u64, row: Row) -> bool {
+        Records::insert_new(self, key, row)
+    }
+    fn remove(&mut self, key: u64) -> Option<Row> {
+        Records::remove(self, key)
+    }
+    fn set_record_version(&mut self, key: u64, v: u64) {
+        Records::set_record_version(self, key, v);
+    }
+}
+
+impl StoreBucket for Bucket {
+    fn records(&self) -> &Records {
+        &self.records
+    }
+    fn put(&mut self, key: u64, row: Row) {
+        Bucket::put(self, key, row);
+    }
+    fn insert_new(&mut self, key: u64, row: Row) -> bool {
+        Bucket::insert_new(self, key, row)
+    }
+    fn remove(&mut self, key: u64) -> Option<Row> {
+        Bucket::remove(self, key)
+    }
+    fn set_record_version(&mut self, key: u64, v: u64) {
+        Bucket::set_record_version(self, key, v);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,6 +404,23 @@ mod tests {
 
     fn row1(v: i64) -> Row {
         Row::from([Value::I64(v)])
+    }
+
+    #[test]
+    fn inline_record_costs_no_tag() {
+        assert_eq!(std::mem::size_of::<Slots>(), std::mem::size_of::<Live>());
+    }
+
+    #[test]
+    fn delete_and_reinsert_round_trip_through_the_inline_slot() {
+        let mut b = Bucket::new();
+        b.put(4, row1(1));
+        assert_eq!(b.remove(4).unwrap()[0].as_i64(), 1);
+        assert_eq!((b.len(), b.record_version(4), b.version()), (0, 2, 2));
+        assert_eq!(b.versions().collect::<Vec<_>>(), vec![(&4, &2)]);
+        assert!(b.insert_new(4, row1(2)));
+        assert!(matches!(b.records.0, Slots::One(_)));
+        assert_eq!((b.len(), b.record_version(4), b.version()), (1, 3, 3));
     }
 
     #[test]

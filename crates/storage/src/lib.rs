@@ -21,11 +21,11 @@ pub mod schema;
 pub mod store;
 pub mod wal;
 
-pub use bucket::Bucket;
+pub use bucket::{Bucket, Records};
 pub use lock::{LockMode, LockState};
 pub use placement::{HashPlacement, LookupTable, Placement, RangePlacement};
 pub use schema::{KeyPacker, Schema, TableDef};
-pub use store::{PartitionStore, TableStore};
+pub use store::{PartitionStore, ReplicaStore, TableStore};
 pub use wal::{
     DecideWrite, RedoOp, RedoWrite, StoreSnapshot, TableSnapshot, Wal, WalRecord, WalStats,
     DEFAULT_FSYNC_BATCH,

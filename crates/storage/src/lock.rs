@@ -21,10 +21,25 @@ pub enum LockMode {
 /// Embedded lock word. Holder lists are tiny (NO_WAIT keeps queues empty, and
 /// shared holder counts are bounded by engine concurrency), so a `Vec` with
 /// linear scans beats a hash set here.
+///
+/// Every bucket embeds one, so the word is kept to three machine words: an
+/// exclusive holder or a lone reader sits inline, and only a bucket that
+/// sees two concurrent readers allocates the holder list — which it then
+/// keeps, empty or not, so a hot read-mostly record does not reallocate it
+/// on every overlap.
 #[derive(Debug, Clone, Default)]
-pub struct LockState {
-    shared: Vec<(TxnId, SimTime)>,
-    exclusive: Option<(TxnId, SimTime)>,
+pub struct LockState(Holders);
+
+#[derive(Debug, Clone, Default)]
+enum Holders {
+    #[default]
+    Free,
+    Exclusive(TxnId, SimTime),
+    /// One shared holder, inline.
+    Shared(TxnId, SimTime),
+    /// Shared holders of a bucket that has had two at once (possibly
+    /// none now: an empty list is a free lock).
+    SharedMany(Vec<(TxnId, SimTime)>),
 }
 
 /// Outcome of a release, reporting how long the lock was held — the record's
@@ -42,22 +57,37 @@ impl LockState {
 
     /// True if no transaction holds the lock in any mode.
     pub fn is_free(&self) -> bool {
-        self.shared.is_empty() && self.exclusive.is_none()
+        match &self.0 {
+            Holders::Free => true,
+            Holders::SharedMany(v) => v.is_empty(),
+            Holders::Exclusive(..) | Holders::Shared(..) => false,
+        }
     }
 
     /// True if `txn` holds the lock in any mode.
     pub fn holds(&self, txn: TxnId) -> bool {
-        self.exclusive.map(|(t, _)| t) == Some(txn) || self.shared.iter().any(|&(t, _)| t == txn)
+        match &self.0 {
+            Holders::Free => false,
+            Holders::Exclusive(t, _) | Holders::Shared(t, _) => *t == txn,
+            Holders::SharedMany(v) => v.iter().any(|&(t, _)| t == txn),
+        }
     }
 
     /// Current exclusive holder, if any.
     pub fn exclusive_holder(&self) -> Option<TxnId> {
-        self.exclusive.map(|(t, _)| t)
+        match self.0 {
+            Holders::Exclusive(t, _) => Some(t),
+            _ => None,
+        }
     }
 
     /// Number of shared holders.
     pub fn shared_count(&self) -> usize {
-        self.shared.len()
+        match &self.0 {
+            Holders::Free | Holders::Exclusive(..) => 0,
+            Holders::Shared(..) => 1,
+            Holders::SharedMany(v) => v.len(),
+        }
     }
 
     /// Attempt to acquire under NO_WAIT. Returns `true` iff granted.
@@ -66,58 +96,79 @@ impl LockState {
     /// changing state; an upgrade (shared → exclusive) succeeds only when the
     /// requester is the sole shared holder.
     pub fn try_acquire(&mut self, txn: TxnId, mode: LockMode, now: SimTime) -> bool {
-        match mode {
-            LockMode::Shared => {
-                if let Some((holder, _)) = self.exclusive {
-                    // An exclusive holder may also read its own lock.
-                    return holder == txn;
-                }
-                if !self.shared.iter().any(|&(t, _)| t == txn) {
-                    self.shared.push((txn, now));
+        match (&mut self.0, mode) {
+            // An exclusive holder may also read its own lock.
+            (Holders::Exclusive(holder, _), _) => *holder == txn,
+            (Holders::Free, LockMode::Shared) => {
+                self.0 = Holders::Shared(txn, now);
+                true
+            }
+            (Holders::Free, LockMode::Exclusive) => {
+                self.0 = Holders::Exclusive(txn, now);
+                true
+            }
+            (Holders::Shared(holder, since), LockMode::Shared) => {
+                if *holder != txn {
+                    let mut v = Vec::with_capacity(4);
+                    v.push((*holder, *since));
+                    v.push((txn, now));
+                    self.0 = Holders::SharedMany(v);
                 }
                 true
             }
-            LockMode::Exclusive => {
-                if let Some((holder, _)) = self.exclusive {
-                    return holder == txn;
+            (Holders::SharedMany(v), LockMode::Shared) => {
+                if !v.iter().any(|&(t, _)| t == txn) {
+                    v.push((txn, now));
                 }
-                match self.shared.as_slice() {
-                    [] => {
-                        self.exclusive = Some((txn, now));
-                        true
-                    }
-                    // Upgrade path: sole shared holder is the requester.
-                    [(holder, since)] if *holder == txn => {
-                        self.exclusive = Some((txn, *since));
-                        self.shared.clear();
-                        true
-                    }
-                    _ => false,
-                }
+                true
             }
+            // Upgrade path: sole shared holder is the requester (the span
+            // counts from the shared acquisition).
+            (Holders::Shared(holder, since), LockMode::Exclusive) => {
+                if *holder != txn {
+                    return false;
+                }
+                self.0 = Holders::Exclusive(txn, *since);
+                true
+            }
+            (Holders::SharedMany(v), LockMode::Exclusive) => match v.as_slice() {
+                [] => {
+                    self.0 = Holders::Exclusive(txn, now);
+                    true
+                }
+                [(holder, since)] if *holder == txn => {
+                    self.0 = Holders::Exclusive(txn, *since);
+                    true
+                }
+                _ => false,
+            },
         }
     }
 
     /// Release whatever `txn` holds. Returns `None` when `txn` held nothing
     /// (releases are idempotent — abort paths may release eagerly).
     pub fn release(&mut self, txn: TxnId, now: SimTime) -> Option<Released> {
-        if let Some((holder, since)) = self.exclusive {
-            if holder == txn {
-                self.exclusive = None;
-                return Some(Released {
-                    held_for: now.saturating_since(since),
-                    mode: LockMode::Exclusive,
-                });
+        let (since, mode) = match &mut self.0 {
+            Holders::Exclusive(holder, since) if *holder == txn => {
+                let since = *since;
+                self.0 = Holders::Free;
+                (since, LockMode::Exclusive)
             }
-        }
-        if let Some(pos) = self.shared.iter().position(|&(t, _)| t == txn) {
-            let (_, since) = self.shared.swap_remove(pos);
-            return Some(Released {
-                held_for: now.saturating_since(since),
-                mode: LockMode::Shared,
-            });
-        }
-        None
+            Holders::Shared(holder, since) if *holder == txn => {
+                let since = *since;
+                self.0 = Holders::Free;
+                (since, LockMode::Shared)
+            }
+            Holders::SharedMany(v) => {
+                let pos = v.iter().position(|&(t, _)| t == txn)?;
+                (v.swap_remove(pos).1, LockMode::Shared)
+            }
+            _ => return None,
+        };
+        Some(Released {
+            held_for: now.saturating_since(since),
+            mode,
+        })
     }
 }
 

@@ -5,8 +5,8 @@
 //! range), which "takes almost no lookup-table space". This module provides
 //! both default partitioners and the combined [`LookupTable`] placement.
 
+use chiller_common::hash::IntMap;
 use chiller_common::ids::{PartitionId, RecordId, TableId};
-use std::collections::HashMap;
 
 /// Maps records to their owning partition.
 pub trait Placement {
@@ -64,14 +64,14 @@ impl Placement for HashPlacement {
 pub struct RangePlacement {
     /// Per table: sorted upper bounds (exclusive) for partitions 0..k-1; keys
     /// >= the last bound map to the last partition.
-    ranges: HashMap<TableId, Vec<u64>>,
+    ranges: IntMap<TableId, Vec<u64>>,
     fallback_partitions: u32,
 }
 
 impl RangePlacement {
     pub fn new(fallback_partitions: u32) -> Self {
         RangePlacement {
-            ranges: HashMap::new(),
+            ranges: IntMap::default(),
             fallback_partitions: fallback_partitions.max(1),
         }
     }
@@ -108,14 +108,14 @@ impl Placement for RangePlacement {
 /// The paper's combined scheme: a small per-record lookup table for hot
 /// records plus a default partitioner for everything else (§4.4).
 pub struct LookupTable<P: Placement> {
-    hot: HashMap<RecordId, PartitionId>,
+    hot: IntMap<RecordId, PartitionId>,
     default: P,
 }
 
 impl<P: Placement> LookupTable<P> {
     pub fn new(default: P) -> Self {
         LookupTable {
-            hot: HashMap::new(),
+            hot: IntMap::default(),
             default,
         }
     }
@@ -166,14 +166,17 @@ impl<P: Placement> Placement for LookupTable<P> {
 /// (§7.2.2: "the number of entries in the lookup table can be as large as
 /// the number of records in the database").
 pub struct ExplicitPlacement<P: Placement> {
-    map: HashMap<RecordId, PartitionId>,
+    map: IntMap<RecordId, PartitionId>,
     /// Fallback for records created after partitioning (inserts).
     fallback: P,
 }
 
 impl<P: Placement> ExplicitPlacement<P> {
-    pub fn new(map: HashMap<RecordId, PartitionId>, fallback: P) -> Self {
-        ExplicitPlacement { map, fallback }
+    pub fn new(map: impl IntoIterator<Item = (RecordId, PartitionId)>, fallback: P) -> Self {
+        ExplicitPlacement {
+            map: map.into_iter().collect(),
+            fallback,
+        }
     }
 }
 
@@ -269,7 +272,7 @@ mod tests {
 
     #[test]
     fn explicit_placement_counts_all_entries() {
-        let mut map = HashMap::new();
+        let mut map = std::collections::HashMap::new();
         for k in 0..100 {
             map.insert(rid(1, k), PartitionId((k % 2) as u32));
         }

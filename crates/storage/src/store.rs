@@ -3,29 +3,37 @@
 //! A [`PartitionStore`] is the state one simulated node owns for one
 //! partition. The concurrency-control layer calls into it for record access
 //! and lock-word manipulation; all timing (latencies, CPU) is modeled by the
-//! caller, never here.
+//! caller, never here. A [`ReplicaStore`] is the same store over bare
+//! [`Records`]: replica copies are never locked or validated, so their
+//! buckets carry no lock word or OCC version.
 
-use crate::bucket::Bucket;
+use crate::bucket::{Bucket, Records, StoreBucket};
 use crate::lock::{LockMode, Released};
 use crate::schema::Schema;
 use crate::wal::{RedoOp, RedoWrite, StoreSnapshot, TableSnapshot};
 use chiller_common::error::{ChillerError, Result};
+use chiller_common::hash::IntMap;
 use chiller_common::ids::{PartitionId, RecordId, TableId, TxnId};
 use chiller_common::time::SimTime;
 use chiller_common::value::Row;
-use std::collections::HashMap;
 
 /// One table's buckets within a partition.
 #[derive(Debug, Clone)]
-pub struct TableStore {
-    buckets: HashMap<u64, Bucket>,
+pub struct TableStore<B = Bucket> {
+    buckets: IntMap<u64, B>,
     records_per_bucket: u64,
 }
 
 impl TableStore {
     pub fn new(records_per_bucket: u64) -> Self {
+        Self::empty(records_per_bucket)
+    }
+}
+
+impl<B: StoreBucket> TableStore<B> {
+    fn empty(records_per_bucket: u64) -> Self {
         TableStore {
-            buckets: HashMap::new(),
+            buckets: IntMap::default(),
             records_per_bucket: records_per_bucket.max(1),
         }
     }
@@ -35,11 +43,11 @@ impl TableStore {
         key / self.records_per_bucket
     }
 
-    pub fn bucket_for(&self, key: u64) -> Option<&Bucket> {
+    pub fn bucket_for(&self, key: u64) -> Option<&B> {
         self.buckets.get(&self.bucket_id(key))
     }
 
-    pub fn bucket_for_mut(&mut self, key: u64) -> &mut Bucket {
+    pub fn bucket_for_mut(&mut self, key: u64) -> &mut B {
         let id = self.bucket_id(key);
         self.buckets.entry(id).or_default()
     }
@@ -49,28 +57,42 @@ impl TableStore {
     }
 
     pub fn num_records(&self) -> usize {
-        self.buckets.values().map(Bucket::len).sum()
+        self.buckets.values().map(|b| b.records().len()).sum()
     }
 
     /// Iterate all `(key, row)` pairs, unordered across buckets.
     pub fn iter(&self) -> impl Iterator<Item = (&u64, &Row)> {
-        self.buckets.values().flat_map(Bucket::iter)
+        self.buckets.values().flat_map(|b| b.records().iter())
     }
 }
 
-/// All tables of one partition, primary copy.
-pub struct PartitionStore {
+/// All tables of one partition: the primary copy, or with `B =`
+/// [`Records`] a replica copy (see [`ReplicaStore`]).
+pub struct PartitionStore<B = Bucket> {
     pub partition: PartitionId,
     schema: Schema,
-    tables: HashMap<TableId, TableStore>,
+    tables: IntMap<TableId, TableStore<B>>,
 }
+
+/// A replica copy of a partition: records only, no lock words or OCC
+/// versions.
+pub type ReplicaStore = PartitionStore<Records>;
 
 impl PartitionStore {
     pub fn new(partition: PartitionId, schema: Schema) -> Self {
-        let tables = schema
-            .tables()
-            .map(|t| (t.id, TableStore::new(t.records_per_bucket)))
-            .collect();
+        Self::empty(partition, schema)
+    }
+}
+
+impl ReplicaStore {
+    pub fn new_replica(partition: PartitionId, schema: Schema) -> Self {
+        Self::empty(partition, schema)
+    }
+}
+
+impl<B: StoreBucket> PartitionStore<B> {
+    fn empty(partition: PartitionId, schema: Schema) -> Self {
+        let tables = Self::empty_tables(&schema);
         PartitionStore {
             partition,
             schema,
@@ -78,17 +100,24 @@ impl PartitionStore {
         }
     }
 
+    fn empty_tables(schema: &Schema) -> IntMap<TableId, TableStore<B>> {
+        schema
+            .tables()
+            .map(|t| (t.id, TableStore::empty(t.records_per_bucket)))
+            .collect()
+    }
+
     pub fn schema(&self) -> &Schema {
         &self.schema
     }
 
-    pub fn table(&self, id: TableId) -> &TableStore {
+    pub fn table(&self, id: TableId) -> &TableStore<B> {
         self.tables
             .get(&id)
             .unwrap_or_else(|| panic!("partition {} has no table {id}", self.partition))
     }
 
-    pub fn table_mut(&mut self, id: TableId) -> &mut TableStore {
+    pub fn table_mut(&mut self, id: TableId) -> &mut TableStore<B> {
         self.tables
             .get_mut(&id)
             .unwrap_or_else(|| panic!("no table {id}"))
@@ -96,7 +125,7 @@ impl PartitionStore {
 
     /// Iterate `(table id, table store)` pairs, unordered (used by
     /// replica-consistency checks and diagnostics).
-    pub fn tables(&self) -> impl Iterator<Item = (&TableId, &TableStore)> {
+    pub fn tables(&self) -> impl Iterator<Item = (&TableId, &TableStore<B>)> {
         self.tables.iter()
     }
 
@@ -105,14 +134,14 @@ impl PartitionStore {
     pub fn read(&self, rid: RecordId) -> Result<&Row> {
         self.table(rid.table)
             .bucket_for(rid.key)
-            .and_then(|b| b.get(rid.key))
+            .and_then(|b| b.records().get(rid.key))
             .ok_or(ChillerError::RecordNotFound(rid))
     }
 
     pub fn read_opt(&self, rid: RecordId) -> Option<&Row> {
         self.table(rid.table)
             .bucket_for(rid.key)
-            .and_then(|b| b.get(rid.key))
+            .and_then(|b| b.records().get(rid.key))
     }
 
     pub fn exists(&self, rid: RecordId) -> bool {
@@ -152,47 +181,13 @@ impl PartitionStore {
         self.write(rid, row);
     }
 
-    // ---- lock words (one-sided atomics target) --------------------------
-
-    /// NO_WAIT lock attempt on the bucket containing `rid`.
-    pub fn try_lock(
-        &mut self,
-        rid: RecordId,
-        txn: TxnId,
-        mode: LockMode,
-        now: SimTime,
-    ) -> Result<()> {
-        let bucket = self.table_mut(rid.table).bucket_for_mut(rid.key);
-        if bucket.lock.try_acquire(txn, mode, now) {
-            Ok(())
-        } else {
-            Err(ChillerError::LockConflict { txn, record: rid })
-        }
-    }
-
-    /// Release `txn`'s lock on the bucket of `rid`, reporting the held span.
-    pub fn unlock(&mut self, rid: RecordId, txn: TxnId, now: SimTime) -> Option<Released> {
-        self.table_mut(rid.table)
-            .bucket_for_mut(rid.key)
-            .lock
-            .release(txn, now)
-    }
-
-    /// Current version of the bucket holding `rid` (for OCC validation).
-    pub fn version(&self, rid: RecordId) -> u64 {
-        self.table(rid.table)
-            .bucket_for(rid.key)
-            .map(Bucket::version)
-            .unwrap_or(0)
-    }
-
     /// Per-record write counter of `rid` (for history recording): 0 if never
     /// written, monotone across deletes and re-inserts. Unlike
-    /// [`Self::version`] this never couples bucket neighbors.
+    /// [`PartitionStore::version`] this never couples bucket neighbors.
     pub fn record_version(&self, rid: RecordId) -> u64 {
         self.table(rid.table)
             .bucket_for(rid.key)
-            .map(|b| b.record_version(rid.key))
+            .map(|b| b.records().record_version(rid.key))
             .unwrap_or(0)
     }
 
@@ -205,22 +200,6 @@ impl PartitionStore {
             .bucket_for_mut(rid.key)
             .set_record_version(rid.key, src_version.saturating_sub(1));
         self.insert(rid, row)
-    }
-
-    /// Whether the bucket of `rid` is currently locked by anyone.
-    pub fn is_locked(&self, rid: RecordId) -> bool {
-        self.table(rid.table)
-            .bucket_for(rid.key)
-            .map(|b| !b.lock.is_free())
-            .unwrap_or(false)
-    }
-
-    /// Whether `txn` holds the lock on `rid`'s bucket.
-    pub fn holds_lock(&self, rid: RecordId, txn: TxnId) -> bool {
-        self.table(rid.table)
-            .bucket_for(rid.key)
-            .map(|b| b.lock.holds(txn))
-            .unwrap_or(false)
     }
 
     // ---- durability (WAL + checkpoints, DESIGN.md §15) -------------------
@@ -272,7 +251,7 @@ impl PartitionStore {
                 let mut versions: Vec<(u64, u64)> = t
                     .buckets
                     .values()
-                    .flat_map(|b| b.versions().map(|(k, v)| (*k, *v)))
+                    .flat_map(|b| b.records().versions().map(|(k, v)| (*k, *v)))
                     .collect();
                 versions.sort_by_key(|(k, _)| *k);
                 TableSnapshot {
@@ -291,11 +270,7 @@ impl PartitionStore {
     /// survive), rows installed, and record versions forced to the
     /// snapshot's exact values.
     pub fn restore(&mut self, snap: &StoreSnapshot) {
-        self.tables = self
-            .schema
-            .tables()
-            .map(|t| (t.id, TableStore::new(t.records_per_bucket)))
-            .collect();
+        self.tables = Self::empty_tables(&self.schema);
         for t in &snap.tables {
             let ts = self
                 .tables
@@ -313,6 +288,59 @@ impl PartitionStore {
     /// Diagnostic: total records across tables.
     pub fn num_records(&self) -> usize {
         self.tables.values().map(TableStore::num_records).sum()
+    }
+}
+
+/// Lock words and OCC versions: primary copies only.
+impl PartitionStore {
+    // ---- lock words (one-sided atomics target) --------------------------
+
+    /// NO_WAIT lock attempt on the bucket containing `rid`.
+    pub fn try_lock(
+        &mut self,
+        rid: RecordId,
+        txn: TxnId,
+        mode: LockMode,
+        now: SimTime,
+    ) -> Result<()> {
+        let bucket = self.table_mut(rid.table).bucket_for_mut(rid.key);
+        if bucket.lock.try_acquire(txn, mode, now) {
+            Ok(())
+        } else {
+            Err(ChillerError::LockConflict { txn, record: rid })
+        }
+    }
+
+    /// Release `txn`'s lock on the bucket of `rid`, reporting the held span.
+    pub fn unlock(&mut self, rid: RecordId, txn: TxnId, now: SimTime) -> Option<Released> {
+        self.table_mut(rid.table)
+            .bucket_for_mut(rid.key)
+            .lock
+            .release(txn, now)
+    }
+
+    /// Current version of the bucket holding `rid` (for OCC validation).
+    pub fn version(&self, rid: RecordId) -> u64 {
+        self.table(rid.table)
+            .bucket_for(rid.key)
+            .map(Bucket::version)
+            .unwrap_or(0)
+    }
+
+    /// Whether the bucket of `rid` is currently locked by anyone.
+    pub fn is_locked(&self, rid: RecordId) -> bool {
+        self.table(rid.table)
+            .bucket_for(rid.key)
+            .map(|b| !b.lock.is_free())
+            .unwrap_or(false)
+    }
+
+    /// Whether `txn` holds the lock on `rid`'s bucket.
+    pub fn holds_lock(&self, rid: RecordId, txn: TxnId) -> bool {
+        self.table(rid.table)
+            .bucket_for(rid.key)
+            .map(|b| b.lock.holds(txn))
+            .unwrap_or(false)
     }
 
     /// Diagnostic: true when no bucket in the partition holds any lock.
